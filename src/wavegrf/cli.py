@@ -1,10 +1,9 @@
 """Reproducible experiment runner.
 
 Subcommands: tables, decay, corrlen, sqrt-bench, sample, mlmc, krige,
-pattern, filters-dump.  Options come from a JSON config file plus ``--seed``,
-``--out`` and ``--threads`` overrides (environment variable
-``WAVEGRF_THREADS`` also sets the thread count).  Every output file records
-the config hash and package version; reruns are byte-identical.
+pattern, filters-dump.  Options come from a JSON config file plus ``--seed``
+and ``--out`` overrides.  Every output file records the config hash and
+package version; reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure; errors
 emit a machine-readable JSON record on stderr.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -46,14 +44,6 @@ def _load_config(args) -> dict:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
     cfg["out"] = args.out or cfg.get("out", "out")
-    threads = args.threads or int(os.environ.get("WAVEGRF_THREADS", "0"))
-    if threads:
-        try:
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(threads)
-        except ImportError:
-            cfg["threads_note"] = "threadpoolctl unavailable; thread cap ignored"
-        cfg["threads"] = threads
     return cfg
 
 
@@ -264,16 +254,18 @@ def cmd_krige(cfg) -> None:
         y = np.asarray(obs.values)
     else:
         obs = kriging.equispaced_observations(K, width, sigma2)
-        om_tmp = kriging.build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    om = kriging.build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    if not obs_file:
         bounds = m.spectral_bounds()
         contour = build_contour(bounds, int(cfg.get("K", 40)))
         z = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour).draw(seed)
         from . import rng as _rng
         noise = _rng.standard_normal(seed, 10**6, obs.K) * np.sqrt(sigma2)
-        y = om_tmp.G @ z.coefficients + noise
-    om = kriging.build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+        y = om.G @ z.coefficients + noise
     mu, res = kriging.posterior_mean(m.tapered, om, m.system, y, sigma2,
                                      cg_tol=float(cfg.get("cg_tol", 1e-10)))
+    if not res.converged:
+        raise RuntimeError(f"Gram CG stopped unconverged after {res.iterations} iterations")
     targets = np.asarray(cfg.get("targets", (np.arange(256) / 256.0)))
     pred = kriging.predict_at(m.system, m.curve, mu, targets)
     meta = io.standard_meta(cfg) | {
@@ -358,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--threads", type=int, default=0)
     return ap
 
 

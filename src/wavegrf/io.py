@@ -19,7 +19,7 @@ from . import __version__
 
 
 #: config keys with no effect on computed values (excluded from the hash)
-_NON_SEMANTIC = ("out", "threads", "threads_note")
+_NON_SEMANTIC = ("out",)
 
 
 def config_hash(config: dict) -> str:

@@ -4,7 +4,7 @@ The half-integer Matern kernels have elementary closed forms:
 
     k_{1/2}(z) = exp(-z/l)
     k_{3/2}(z) = (1 + sqrt(3) z / l) exp(-sqrt(3) z / l)
-    k_{5/2}(z) = (1 + sqrt(5) z / l + 5 z^2 / (3 l)) exp(-sqrt(5) z / l)
+    k_{5/2}(z) = (1 + sqrt(5) z / l + 5 z^2 / (3 l^2)) exp(-sqrt(5) z / l)
 
 with ``z`` the chordal distance.  On a curve (n = 1) the associated
 covariance operators have pseudodifferential order ``r = -(2 nu + 1)``.
@@ -71,7 +71,7 @@ def eval_kernel(spec: KernelSpec, z):
         val = (1.0 + s) * np.exp(-s)
     else:
         s = np.sqrt(5.0) * u
-        val = (1.0 + s + 5.0 * z * z / (3.0 * spec.ell)) * np.exp(-s)
+        val = (1.0 + s + 5.0 * u * u / 3.0) * np.exp(-s)
     return spec.sigma2 * val
 
 

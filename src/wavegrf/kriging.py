@@ -12,7 +12,8 @@ transform.  The posterior mean
 
 is evaluated with the Gram solve done by CG and every operator applied in
 factored form (sparse C_eps, banded single-scale observation matrix, fast
-transforms); the Gram matrix is never assembled for the solve.
+transforms); the Gram matrix is never assembled for the solve.  The rows of
+``G`` and the diagnostic dense Gram are each built by one batched transform.
 """
 
 from __future__ import annotations
@@ -140,13 +141,13 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
                 cols.append(k % N)
                 vals.append(val)
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
-    G = np.stack([system.fwt(G_single[i].toarray().ravel())
-                  for i in range(obs.K)])
+    G = np.ascontiguousarray(system.fwt(G_single.T.toarray()).T)
     return ObservationMatrix(G_single=G_single, G=G, level=L)
 
 
 class FactoredGram:
-    """Applies ``v -> (G C G^T + sigma2 I) v`` without forming the Gram matrix."""
+    """Applies ``v -> (G C G^T + sigma2 I) v`` without forming the Gram matrix;
+    ``v`` is a K-vector or a (K, m) block."""
 
     def __init__(self, Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                  sigma2: float):
@@ -191,11 +192,11 @@ def posterior_mean_dense(C: np.ndarray, G: np.ndarray, y: np.ndarray,
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                 sigma2: float) -> np.ndarray:
-    gram = FactoredGram(Ceps, obsmat, system, sigma2)
     K = obsmat.K
     if K > 2048:
         raise ValueError("dense Gram assembly capped at K = 2048")
-    return np.stack([gram(e) for e in np.eye(K)]).T
+    return FactoredGram(Ceps, obsmat, system, sigma2)(np.eye(K))
+
 
 def gram_condition(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    sigma2: float) -> float:

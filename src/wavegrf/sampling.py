@@ -77,7 +77,7 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
                cg_tol: float = 1e-12) -> np.ndarray:
     """Apply the rational square-root approximation of ``R`` to ``x``.
 
-    Each shifted system is solved independently by CG to ``cg_tol``.
+    Each shifted system is solved by CG to ``cg_tol``; an unconverged one raises.
     """
     x = np.asarray(x, dtype=float)
     if contour.scalar:
@@ -86,6 +86,9 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
     acc = np.zeros_like(x)
     for w2, g in zip(contour.poles, contour.weights):
         res = cg_solve(lambda v, s=w2: apply_R(v) + s * v, x, tol=cg_tol)
+        if not res.converged:
+            raise RuntimeError(f"CG for the shift w^2 = {w2:.6g} stopped unconverged "
+                               f"after {res.iterations} iterations")
         acc += g * res.x
     return contour.prefactor * apply_R(acc)
 

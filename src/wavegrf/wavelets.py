@@ -9,6 +9,12 @@ length ``p`` in single-scale (hat) coordinates lives at level ``J + 1``.
 
 Basis functions are L2-normalized in the parameter domain; the curve
 measure is handled by Galerkin assembly.
+
+The fast transforms are chains of sparse level operators: one analysis
+level step at length ``n`` is an ``n x n`` CSR matrix built once from the
+filter masks and kept in a bounded cache keyed on ``(d, dt, kind, n)``.
+Each transform costs one sparse product per level, O(p) in total, and acts
+along axis 0, so a 2-D array is transformed column by column in one call.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
-from .filters import FilterBank, Mask, build_filter_bank
+from .filters import FilterBank, build_filter_bank
 
 SQRT2 = np.sqrt(2.0)
 
@@ -86,28 +93,33 @@ def diag_scaling(idx: LevelIndexSet, s: float) -> np.ndarray:
     return np.power(2.0, s * idx.level_of_position())
 
 
-def _analysis_step(c: np.ndarray, mask: Mask) -> np.ndarray:
-    """Periodic correlate-downsample: ``out[k] = 2^-1/2 sum_i m_i c[2k+i]``."""
-    n = c.shape[0]
-    nk = n // 2
-    out = np.zeros((nk,) + c.shape[1:])
-    for i, w in zip(range(mask.start, mask.stop + 1), mask.coeffs):
-        p0 = i % 2
-        s = (i - p0) // 2
-        out += w * np.roll(c[p0::2], -s, axis=0)
-    return out / SQRT2
+@lru_cache(maxsize=256)
+def _level_operator(d: int, dt: int, kind: str, n: int,
+                    transpose: bool = False) -> sparse.csr_matrix:
+    """One periodic analysis level step at length ``n`` as an ``n x n`` CSR matrix.
 
-
-def _synthesis_step(c: np.ndarray, d: np.ndarray, lo: Mask, hi: Mask) -> np.ndarray:
-    """Periodic upsample-convolve, inverse of the paired analysis steps."""
-    nk = c.shape[0]
-    out = np.zeros((2 * nk,) + c.shape[1:])
-    for block, mask in ((c, lo), (d, hi)):
+    Rows ``k < n/2`` are the low-pass outputs and rows ``n/2 + k`` the
+    high-pass outputs ``2^-1/2 sum_i m_i c[(2k+i) mod n]``; taps that wrap
+    onto the same column are summed.  ``kind`` names the analysis whose
+    masks are used: ``"fwt"`` (dual masks) or ``"fwt_dual"`` (spline masks).
+    With ``transpose=True`` the cached transpose is returned: the matching
+    synthesis step of the other family.
+    """
+    if transpose:
+        return _level_operator(d, dt, kind, n).T.tocsr()
+    bank = build_filter_bank(d, dt)
+    lo, hi = (bank.lo_dual, bank.hi_dual) if kind == "fwt" else (bank.lo, bank.hi)
+    k = np.arange(n // 2)
+    rows, cols, vals = [], [], []
+    for off, mask in ((0, lo), (n // 2, hi)):
         for i, w in zip(range(mask.start, mask.stop + 1), mask.coeffs):
-            p0 = i % 2
-            s = (i - p0) // 2
-            out[p0::2] += w * np.roll(block, s, axis=0)
-    return out / SQRT2
+            rows.append(off + k)
+            cols.append((2 * k + i) % n)
+            vals.append(np.full(n // 2, w / SQRT2))
+    coo = sparse.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n))
+    return coo.tocsr()
 
 
 class WaveletSystem:
@@ -118,6 +130,11 @@ class WaveletSystem:
     are the corresponding analysis/synthesis for the dual family.  The four
     maps satisfy ``ifwt = fwt^-1``, ``ifwt_dual = fwt_dual^-1`` and the
     adjoint relations ``fwt_dual = ifwt^T``, ``fwt = ifwt_dual^T``.
+
+    Each map is a chain of cached sparse level operators: analysis applies
+    the level steps of its own masks from the finest level down, synthesis
+    applies the transposed level steps of the other family from the
+    coarsest level up.  Input of shape ``(p,)`` or ``(p, m)`` is accepted.
     """
 
     def __init__(self, d: int, dt: int, j0: int | None = None):
@@ -149,43 +166,27 @@ class WaveletSystem:
     # -- transforms --------------------------------------------------------
     def fwt(self, values: np.ndarray) -> np.ndarray:
         """Single-scale coefficients -> spline-wavelet coefficients."""
-        J = self._check_len(np.asarray(values).shape[0])
-        c = np.asarray(values, dtype=float)
-        blocks = []
-        for j in range(J, self.j0, -1):
-            d = _analysis_step(c, self.bank.hi_dual)
-            c = _analysis_step(c, self.bank.lo_dual)
-            blocks.append(d)
-        blocks.append(c)
-        return np.concatenate(blocks[::-1], axis=0)
+        return self._transform(values, "fwt", synthesis=False)
 
     def ifwt(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`fwt` (synthesis with the spline masks)."""
-        return self._synthesize(coeffs, self.bank.lo, self.bank.hi)
+        return self._transform(coeffs, "fwt_dual", synthesis=True)
 
     def fwt_dual(self, values: np.ndarray) -> np.ndarray:
         """Analysis with the spline masks (adjoint of :meth:`ifwt`)."""
-        J = self._check_len(np.asarray(values).shape[0])
-        c = np.asarray(values, dtype=float)
-        blocks = []
-        for j in range(J, self.j0, -1):
-            d = _analysis_step(c, self.bank.hi)
-            c = _analysis_step(c, self.bank.lo)
-            blocks.append(d)
-        blocks.append(c)
-        return np.concatenate(blocks[::-1], axis=0)
+        return self._transform(values, "fwt_dual", synthesis=False)
 
     def ifwt_dual(self, coeffs: np.ndarray) -> np.ndarray:
         """Synthesis with the dual masks (adjoint of :meth:`fwt`)."""
-        return self._synthesize(coeffs, self.bank.lo_dual, self.bank.hi_dual)
+        return self._transform(coeffs, "fwt", synthesis=True)
 
-    def _synthesize(self, coeffs: np.ndarray, lo: Mask, hi: Mask) -> np.ndarray:
-        w = np.asarray(coeffs, dtype=float)
-        idx = self.index_set_for_dim(w.shape[0])
-        c = w[idx.level_slice(self.j0)]
-        for j in range(self.j0 + 1, idx.J + 1):
-            c = _synthesis_step(c, w[idx.level_slice(j)], lo, hi)
-        return c
+    def _transform(self, values: np.ndarray, kind: str, synthesis: bool) -> np.ndarray:
+        x = np.array(values, dtype=float, order="C")
+        J = self._check_len(x.shape[0])
+        for j in range(self.j0 + 1, J + 1) if synthesis else range(J, self.j0, -1):
+            n = 2 ** (j + 1)
+            x[:n] = _level_operator(self.d, self.dt, kind, n, synthesis) @ x[:n]
+        return x
 
     # -- support geometry --------------------------------------------------
     def support(self, lam: MultiIndex) -> tuple[float, float]:

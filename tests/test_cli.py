@@ -122,6 +122,30 @@ def test_krige_command_and_observation_file(tmp_path):
     assert rc2 == 0
 
 
+def test_krige_unconverged_gram_cg_exits_3(tmp_path, capsys, monkeypatch):
+    """A Gram CG stopped at its iteration cap is a numerical failure: exit
+    code 3 and no predictions file.  (A tiny ``cg_tol`` does not force this:
+    the recursive CG residual underflows to zero and counts as converged.)"""
+    import wavegrf.kriging as kr
+    from wavegrf.linalg import cg_solve
+
+    def capped(A, b, tol, max_iter=None):
+        return cg_solve(A, b, tol=tol, max_iter=2)
+
+    monkeypatch.setattr(kr, "cg_solve", capped)
+    rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": 8, "K": 20}, seed=5)
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and "unconverged" in err["message"]
+    assert not (out / "krige_predictions.csv").exists()
+
+
+def test_threads_flag_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["filters-dump", "--out", str(tmp_path / "t"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     rc, _ = run(tmp_path, "tables", {"kernel": "matern99"})
     assert rc == 2

@@ -47,6 +47,24 @@ def test_monotone_on_grid():
             assert np.all(np.diff(v) <= 1e-15)
 
 
+@pytest.mark.parametrize("ell", [0.05, 0.25, 1.0, 3.0])
+def test_closed_forms_and_psd_over_ell(ell):
+    """Each kernel equals its textbook closed form in u = z / ell, and its
+    Gram matrix on 400 points of [0, 1] is positive semidefinite."""
+    z = np.linspace(0.0, 3.0, 61)
+    u = z / ell
+    s3, s5 = np.sqrt(3.0) * u, np.sqrt(5.0) * u
+    closed = {0.5: np.exp(-u),
+              1.5: (1.0 + s3) * np.exp(-s3),
+              2.5: (1.0 + s5 + s5 * s5 / 3.0) * np.exp(-s5)}
+    t = np.linspace(0.0, 1.0, 400)
+    for nu, want in closed.items():
+        spec = KernelSpec(nu, ell)
+        np.testing.assert_allclose(eval_kernel(spec, z), want, rtol=1e-13, atol=0)
+        ev = np.linalg.eigvalsh(eval_kernel(spec, np.abs(t[:, None] - t[None, :])))
+        assert ev[0] >= -1e-10 * ev[-1]
+
+
 def test_names():
     assert kernel_from_name("matern32").nu == 1.5
     assert KernelSpec(2.5, 1.0).name == "matern52"

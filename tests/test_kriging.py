@@ -70,6 +70,16 @@ def test_factored_apply_equals_dense(model):
     np.testing.assert_allclose(gram(v), dense, rtol=1e-12, atol=1e-14)
 
 
+def test_factored_gram_block_equals_columns(model):
+    m = model("matern12", 2, 6, 256)
+    obs = equispaced_observations(16, 4.0 / 256, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    gram = FactoredGram(m.tapered, om, m.system, obs.sigma2)
+    V = np.random.default_rng(7).standard_normal((16, 4))
+    cols = np.stack([gram(V[:, i]) for i in range(4)], axis=1)
+    np.testing.assert_allclose(gram(V), cols, rtol=1e-13, atol=1e-15)
+
+
 def test_posterior_mean_zero_linear_scalar(model):
     m = model("matern12", 2, 6, 128)
     obs = equispaced_observations(8, 4.0 / 128, 1e-2)

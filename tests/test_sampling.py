@@ -51,6 +51,16 @@ def test_apply_linearity_and_zero():
     np.testing.assert_allclose(y1, y2, rtol=1e-11)
 
 
+def test_unconverged_shifted_solve_raises():
+    """CG cannot converge on I + S with S skew (p^T A p > 0 but A is not
+    symmetric); the failed shift is named instead of returning its iterate."""
+    n = 16
+    S = np.triu(np.ones((n, n)), 1)
+    q = build_contour(bounds(0.5, 2.0), 4)
+    with pytest.raises(RuntimeError, match=f"shift w\\^2 = {q.poles[0]:.6g} "):
+        apply_sqrt(np.eye(n) + S - S.T, q, np.ones(n))
+
+
 def test_exponential_convergence_and_k40_machine_precision(model):
     m = model("matern12", 2, 6, 256)
     R = m.preconditioned.to_dense()

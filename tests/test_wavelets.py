@@ -1,8 +1,49 @@
 import numpy as np
 import pytest
 
+from wavegrf.filters import SUPPORTED_PAIRS
 from wavegrf.wavelets import (LevelIndexSet, MultiIndex, WaveletSystem,
-                              diag_scaling, get_system)
+                              _level_operator, diag_scaling, get_system)
+
+TRANSFORMS = ("fwt", "ifwt", "fwt_dual", "ifwt_dual")
+
+
+def _roll_analysis_step(c, mask):
+    """Reference level step, one ``np.roll`` per tap:
+    ``out[k] = 2^-1/2 sum_i m_i c[(2k+i) mod n]``."""
+    out = np.zeros((c.shape[0] // 2,) + c.shape[1:])
+    for i, w in zip(range(mask.start, mask.stop + 1), mask.coeffs):
+        p0 = i % 2
+        out += w * np.roll(c[p0::2], -((i - p0) // 2), axis=0)
+    return out / np.sqrt(2.0)
+
+
+def _roll_synthesis_step(c, d, lo, hi):
+    """Reference periodic upsample-convolve, one ``np.roll`` per tap."""
+    out = np.zeros((2 * c.shape[0],) + c.shape[1:])
+    for block, mask in ((c, lo), (d, hi)):
+        for i, w in zip(range(mask.start, mask.stop + 1), mask.coeffs):
+            p0 = i % 2
+            out[p0::2] += w * np.roll(block, (i - p0) // 2, axis=0)
+    return out / np.sqrt(2.0)
+
+
+def _roll_transform(sys_, name, x):
+    """The four transforms as per-tap level loops (the reference)."""
+    b = sys_.bank
+    idx = sys_.index_set_for_dim(x.shape[0])
+    if name in ("fwt", "fwt_dual"):
+        lo, hi = (b.lo_dual, b.hi_dual) if name == "fwt" else (b.lo, b.hi)
+        c, details = x, []
+        for _ in range(idx.J, sys_.j0, -1):
+            details.append(_roll_analysis_step(c, hi))
+            c = _roll_analysis_step(c, lo)
+        return np.concatenate([c] + details[::-1], axis=0)
+    lo, hi = (b.lo, b.hi) if name == "ifwt" else (b.lo_dual, b.hi_dual)
+    c = x[idx.level_slice(sys_.j0)]
+    for j in range(sys_.j0 + 1, idx.J + 1):
+        c = _roll_synthesis_step(c, x[idx.level_slice(j)], lo, hi)
+    return c
 
 
 def test_index_set_sizes():
@@ -51,6 +92,51 @@ def test_roundtrip_many_random_vectors():
     X = rng.standard_normal((256, 100))
     err = np.abs(sys_.ifwt(sys_.fwt(X)) - X).max()
     assert err <= 1e-12 * np.abs(X).max()
+
+
+def _coarsest_system(d, dt):
+    """The system with the smallest admissible j0; for dt >= 8 its first
+    level steps wrap several taps onto one column."""
+    for j0 in range(1, 8):
+        try:
+            return WaveletSystem(d, dt, j0)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("d,dt", SUPPORTED_PAIRS)
+@pytest.mark.parametrize("size", ["smallest", "one-level", 512])
+@pytest.mark.parametrize("ncols", [None, 3])
+def test_transforms_match_roll_reference(d, dt, size, ncols):
+    """Sparse level-operator chains agree with the per-tap reference, on
+    1-D and 2-D input, down to the coarsest (fully wrapped) lengths."""
+    sys_ = _coarsest_system(d, dt)
+    p = {"smallest": 2 ** (sys_.j0 + 1), "one-level": 2 ** (sys_.j0 + 2)}.get(size, size)
+    shape = (p,) if ncols is None else (p, ncols)
+    x = np.random.default_rng(p + dt).standard_normal(shape)
+    for name in TRANSFORMS:
+        ref = _roll_transform(sys_, name, x)
+        got = getattr(sys_, name)(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("dt", [4, 10])
+def test_block_transform_equals_columnwise(dt):
+    sys_ = get_system(2, dt)
+    X = np.random.default_rng(8).standard_normal((256, 5))
+    for name in TRANSFORMS:
+        f = getattr(sys_, name)
+        cols = np.stack([f(X[:, i]) for i in range(X.shape[1])], axis=1)
+        np.testing.assert_allclose(f(X), cols, rtol=0, atol=1e-15 * np.abs(cols).max())
+        # a non-contiguous view transforms like its copy and is left untouched
+        Xt = X.T.copy().T
+        np.testing.assert_array_equal(f(Xt), f(X))
+        np.testing.assert_array_equal(Xt, X)
+
+
+def test_level_operator_cache_is_bounded():
+    assert _level_operator.cache_info().maxsize is not None
 
 
 def test_adjoint_relations():
