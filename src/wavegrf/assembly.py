@@ -6,14 +6,17 @@ Entries are
 
 with hat functions ``phi_k`` (L2-normalized in the parameter domain) and the
 arc-length weight ``w = |gamma'|``.  The dense single-scale matrix is
-assembled cell-pair-wise; the same cell-pair rules back the pattern-
-restricted wavelet-coordinate assembly so both paths agree to quadrature
-accuracy.
+``Phi^T K Phi`` over the upper triangle of cell pairs, plus triangle-rule
+self blocks; the same cell-pair rules back the pattern-restricted
+wavelet-coordinate assembly so both paths agree to quadrature accuracy.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
+from scipy import sparse
 
 from .curves import CurveSpec
 from .quadrature import gauss_rule
@@ -54,7 +57,6 @@ class CellInteractions:
         uw = curve.weight_t(t) * (w[None, :] * self.h)             # weight * quad wt
         self.basis = np.stack([1.0 - x, x], axis=1) * self.norm    # (q, 2)
         self.uwb = uw[:, :, None] * self.basis[None, :, :]         # (N, q, 2)
-        self._touch_cache: dict[int, np.ndarray] = {}
 
     # -- plain far-field panels -------------------------------------------
     def plain_blocks(self, c: np.ndarray, cp: np.ndarray) -> np.ndarray:
@@ -64,15 +66,14 @@ class CellInteractions:
         return np.einsum("mab,mai,mbj->mij", K, self.uwb[c], self.uwb[cp])
 
     # -- self pairs: two smooth triangles ------------------------------------
-    def _self_blocks(self) -> np.ndarray:
+    @cached_property
+    def self_blocks(self) -> np.ndarray:
         """Blocks for all pairs (c, c): split at the diagonal and map each
         triangle {s fixed, t between s and the cell edge} to a tensor panel.
 
         With ``T[i,j]`` the upper triangle (t > s), the lower one equals
         ``T[j,i]`` by symmetry of the integrand.
         """
-        if 0 in self._touch_cache:
-            return self._touch_cache[0]
         x, w = self.x, self.w
         cells = np.arange(self.N)
         acc = np.zeros((self.N, 2, 2))
@@ -96,11 +97,7 @@ class CellInteractions:
             bs = np.stack([1.0 - xs, xs], axis=1) * self.norm               # (q, 2)
             bt = np.stack([1.0 - xt, xt], axis=-1) * self.norm              # (q, q, 2)
             acc += np.einsum("mab,ma,mab,ai,abj->mij", K, us, ut, bs, bt)
-        self._touch_cache[0] = acc
         return acc
-
-    def touching_block(self, c: np.ndarray) -> np.ndarray:
-        return self._self_blocks()[c]
 
     def blocks(self, c: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Interaction blocks for arbitrary pair arrays."""
@@ -116,7 +113,7 @@ class CellInteractions:
                 sel = idx[s:s + 4096]
                 out[sel] = self.plain_blocks(c[sel], cp[sel])
         if np.any(~far):
-            out[~far] = self.touching_block(c[~far])
+            out[~far] = self.self_blocks[c[~far]]
         return out
 
 
@@ -124,35 +121,35 @@ def assemble_single_scale(curve: CurveSpec, kernel, J: int, j0: int = 2,
                           q: int = 8) -> np.ndarray:
     """Dense single-scale Galerkin matrix spanning the space of ``Lambda_J``.
 
-    The hat basis lives at level ``L = J + 1`` (dimension ``p = 2**(J+1)``).
+    The hat basis lives at level ``L = J + 1`` (dimension ``p = N = 2**L``).
+    ``Phi`` is the sparse (N q x N) map from plain-panel quadrature points to
+    hats (entries ``uwb``).  Row chunks of cells c add ``Phi^T K Phi`` over
+    the cell pairs c < c' to ``B``, self pairs add half their triangle-rule
+    blocks, and the result ``B + B^T`` is symmetric by construction.
     """
     if J < j0:
         raise ValueError("need J >= j0")
-    L = J + 1
-    inter = CellInteractions(curve, kernel, L, q=q)
-    N = inter.N
+    inter = CellInteractions(curve, kernel, J + 1, q=q)
+    N, cells, pt = inter.N, np.arange(inter.N), np.arange(inter.N * q)
+    hat_of = (np.repeat(pt // q, 2) + np.tile([0, 1], N * q)) % N     # hats c, c+1 of points
+    Phi = sparse.csr_matrix((inter.uwb.ravel(), (np.repeat(pt, 2), hat_of)), shape=(N * q, N))
+    X, Y = inter.pts[..., 0].ravel(), inter.pts[..., 1].ravel()
     A = np.zeros((N, N))
-    cols = np.arange(N)
-    chunk = max(1, (1 << 22) // (N * inter.q * inter.q))
+    chunk = max(1, (1 << 22) // (N * q * q))
     for s in range(0, N, chunk):
-        rows = np.arange(s, min(s + chunk, N))
-        d = inter.pts[rows][:, :, None, None, :] - inter.pts[None, :, :, :][0][None, None, :, :, :]
-        K = inter.kern(np.sqrt(np.sum(d * d, axis=-1)))            # (m, q, N, q)
-        # zero out self pairs; they get the triangle treatment below
-        off = (cols[None, :] - rows[:, None]) % N
-        mask = off == 0
-        K[mask.nonzero()[0], :, mask.nonzero()[1], :] = 0.0
-        blk = np.einsum("maDb,mai,Dbj->mDij", K, inter.uwb[rows], inter.uwb)
-        for i in (0, 1):
-            for j in (0, 1):
-                A[np.ix_((rows + i) % N, (cols + j) % N)] += blk[:, :, i, j]
-    blk = inter.touching_block(np.arange(N))
-    for i in (0, 1):
-        for j in (0, 1):
-            np.add.at(A, ((np.arange(N) + i) % N, (np.arange(N) + j) % N),
-                      blk[:, i, j])
-    # enforce exact symmetry (assembly is symmetric up to rounding)
-    A = 0.5 * (A + A.T)
+        e = min(s + chunk, N)
+        r, c = slice(s * q, e * q), slice(s * q, N * q)
+        d2 = np.subtract.outer(X[c], X[r]) ** 2
+        d2 += np.subtract.outer(Y[c], Y[r]) ** 2
+        K = inter.kern(np.sqrt(d2, out=d2))                       # (cols, rows)
+        # keep cell pairs c' > c only: self pairs take the triangle rule
+        lower = np.nonzero(cells[:e - s, None] <= cells[None, :e - s])
+        K.reshape(N - s, q, e - s, q)[lower[0], :, lower[1], :] = 0.0
+        # hats s..e: cell N - 1 has no partner c' > c, so its wrapped hat 0 gets nothing
+        A[s:e + 1] += Phi[r, s:e + 1].T @ (Phi[c].T @ K).T
+    hat = (cells[:, None, None] + np.indices((2, 2))[:, None]) % N     # (i, j) hats of c
+    np.add.at(A, (hat[0], hat[1]), 0.5 * inter.self_blocks)
+    A += A.T
     if not np.all(np.isfinite(A)):
         raise FloatingPointError("non-finite kernel value during assembly")
     return A
@@ -190,7 +187,6 @@ def assemble_compressed(curve: CurveSpec, kernel, system: WaveletSystem,
     cell-pair rules as the dense path.  Returns a sparse symmetric matrix.
     """
     from .linalg import SparseSymMatrix
-    from scipy import sparse
 
     idx = system.index_set(J)
     if pattern.idx.p != idx.p:

@@ -14,6 +14,7 @@ numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +48,9 @@ class CurveSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        # tuples keep the spec hashable (it keys the normalization cache)
+        object.__setattr__(self, "cos_coeffs", tuple(self.cos_coeffs))
+        object.__setattr__(self, "sin_coeffs", tuple(self.sin_coeffs))
         if self.kind not in ("circle", "fourier"):
             raise ValueError(f"unknown curve kind {self.kind!r}")
         if self.scale <= 0:
@@ -139,18 +143,19 @@ def _golden_max(f, lo, hi, tol=1e-12, iters=200):
 
 
 def diameter(curve: CurveSpec, grid: int = 4096, rtol: float = 1e-10) -> float:
-    """Max chordal distance, by dense grid search plus 1-D refinement."""
+    """Max chordal distance: a grid search on squared distances over the
+    upper triangle j >= i (in row blocks), then 1-D golden-section refinement."""
     phi = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    pts = curve.xy(phi)
+    x, y = curve.xy(phi).T
     best = 0.0
     bi = bj = 0
     chunk = 512
     for s in range(0, grid, chunk):
-        d = np.linalg.norm(pts[s:s + chunk, None, :] - pts[None, :, :], axis=-1)
-        k = int(np.argmax(d))
-        i, j = divmod(k, grid)
-        if d[i, j] > best:
-            best, bi, bj = float(d[i, j]), s + i, j
+        d2 = (x[s:s + chunk, None] - x[None, s:]) ** 2 + (y[s:s + chunk, None] - y[None, s:]) ** 2
+        k = int(np.argmax(d2))
+        i, j = divmod(k, grid - s)
+        if d2[i, j] > best:
+            best, bi, bj = float(d2[i, j]), s + i, s + j
     if best <= 0.0:
         raise ValueError("degenerate curve: zero diameter")
     # coordinate-wise golden-section refinement around the best grid pair
@@ -164,8 +169,9 @@ def diameter(curve: CurveSpec, grid: int = 4096, rtol: float = 1e-10) -> float:
     return float(distance(curve, p1, p2))
 
 
+@lru_cache(maxsize=32)
 def normalize_to_unit_diameter(curve: CurveSpec) -> CurveSpec:
-    """Rescale so that the chordal diameter equals 1."""
+    """Rescale so that the chordal diameter equals 1 (memoized per curve)."""
     d = diameter(curve)
     return replace(curve, scale=curve.scale / d)
 

@@ -102,6 +102,10 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
              track_error=None) -> CgResult:
     """Conjugate gradients with residual stopping ``|r| <= tol |b|``.
 
+    ``converged`` and ``residual`` report the true residual ``b - A x``. It
+    is computed when the recursive residual meets ``max(tol, eps)`` (below
+    eps that one drifts from it and underflows), or at ``max_iter``; above
+    ``tol |b|`` it replaces the recursive one and the search restarts.
     Raises on non-finite values or on indefinite curvature (p^T A p <= 0).
     ``track_error`` is an optional callback receiving the iterate each step.
     """
@@ -118,8 +122,15 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
     bn = np.sqrt(float(b @ b))
     if bn == 0.0:
         return CgResult(x, 0, True, 0.0)
+    check = max(tol, np.finfo(float).eps) * bn
     it = 0
-    while np.sqrt(rs) > tol * bn and it < max_iter:
+    while True:
+        if np.sqrt(rs) <= check or it >= max_iter:
+            r = b - apply_A(x)
+            rs = float(r @ r)
+            if np.sqrt(rs) <= tol * bn or it >= max_iter:
+                break
+            p = r.copy()
         Ap = apply_A(p)
         if not np.all(np.isfinite(Ap)):
             raise FloatingPointError("non-finite value in CG matvec")

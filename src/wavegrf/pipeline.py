@@ -8,7 +8,6 @@ suite share one construction path.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -24,8 +23,8 @@ def default_wavelet_for(kernel_name: str) -> tuple[int, int]:
 
 
 #: dense single-scale matrices shared across wavelet families (they depend
-#: only on kernel, curve and dimension)
-_ASSEMBLY_CACHE: dict = {}
+#: only on curve, kernel, dimension and quadrature order); bounded
+_single_scale = lru_cache(maxsize=16)(assembly.assemble_single_scale)
 
 
 class CovarianceModel:
@@ -55,14 +54,7 @@ class CovarianceModel:
     # -- matrices ----------------------------------------------------------
     @cached_property
     def single_scale(self) -> np.ndarray:
-        key = (self.kernel.name, self.kernel.ell, self.kernel.sigma2,
-               json.dumps(curves.to_config(self.curve), sort_keys=True),
-               2 ** (self.idx.J + 1), self.quad_order)
-        if key not in _ASSEMBLY_CACHE:
-            _ASSEMBLY_CACHE[key] = assembly.assemble_single_scale(
-                self.curve, self.kernel, self.idx.J, j0=self.idx.j0,
-                q=self.quad_order)
-        return _ASSEMBLY_CACHE[key]
+        return _single_scale(self.curve, self.kernel, self.idx.J, q=self.quad_order)
 
     @cached_property
     def wavelet_dense(self) -> np.ndarray:

@@ -94,16 +94,11 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
 
 
 def sqrt_matrix(R, contour: ContourQuadrature) -> np.ndarray:
-    """Dense ``S_K`` via direct shifted solves (small and moderate p)."""
+    """Dense ``S_K`` (small and moderate p) from one ``eigh``: with
+    ``R = V diag(lam) V^T``, ``S_K = V diag(contour.scalar_values(lam)) V^T``."""
     Rd = R.to_dense() if isinstance(R, SparseSymMatrix) else np.asarray(R, dtype=float)
-    p = Rd.shape[0]
-    if contour.scalar:
-        return np.sqrt(contour.c_minus) * np.eye(p)
-    acc = np.zeros_like(Rd)
-    eye = np.eye(p)
-    for w2, g in zip(contour.poles, contour.weights):
-        acc += g * np.linalg.solve(Rd + w2 * eye, eye)
-    return contour.prefactor * (Rd @ acc)
+    lam, V = np.linalg.eigh(Rd)
+    return (V * contour.scalar_values(lam)) @ V.T
 
 
 @dataclass
@@ -149,8 +144,8 @@ class GrfSampler:
 
     def covariance(self) -> np.ndarray:
         """The exact covariance of the draws, ``D^-ra S_K^2 D^-ra``."""
-        SK = sqrt_matrix(self.R, self.contour)
-        return self.dinv[:, None] * (SK @ SK) * self.dinv[None, :]
+        op = self.dinv[:, None] * sqrt_matrix(self.R, self.contour) if self._op is None else self._op
+        return op @ op.T                       # S_K is symmetric
 
     def draw(self, seed: int, sample_index: int = 0) -> GrfSample:
         xi = rng.standard_normal(seed, sample_index, self.idx.p)

@@ -113,6 +113,45 @@ def test_far_field_entry_smallness_and_level_scaling():
         assert maxima[J + 1] / maxima[J] <= 4.0 * 2.0 ** (-(2 * dt + 1))
 
 
+def _einsum_reference(curve, kernel, J, q=8):
+    """Full-grid assembly: every cell pair through a 3-operand einsum."""
+    inter = assembly.CellInteractions(curve, kernel, J + 1, q=q)
+    N = inter.N
+    A = np.zeros((N, N))
+    cols = np.arange(N)
+    for rows in np.array_split(cols, max(1, N // 32)):
+        d = inter.pts[rows][:, :, None, None, :] - inter.pts[None, None, :, :, :]
+        K = inter.kern(np.sqrt(np.sum(d * d, axis=-1)))            # (m, q, N, q)
+        own = np.nonzero((cols[None, :] - rows[:, None]) % N == 0)
+        K[own[0], :, own[1], :] = 0.0
+        blk = np.einsum("maDb,mai,Dbj->mDij", K, inter.uwb[rows], inter.uwb)
+        for i in (0, 1):
+            for j in (0, 1):
+                A[np.ix_((rows + i) % N, (cols + j) % N)] += blk[:, :, i, j]
+    blk = inter.self_blocks
+    for i in (0, 1):
+        for j in (0, 1):
+            np.add.at(A, ((cols + i) % N, (cols + j) % N), blk[:, i, j])
+    return 0.5 * (A + A.T)
+
+
+@pytest.mark.parametrize("nu,ell,p", [(nu, ell, p) for nu in (0.5, 1.5, 2.5)
+                                      for ell in (0.05, 1.0) for p in (16, 64, 256)]
+                         + [(0.5, 1.0, 512)])
+def test_single_scale_matches_einsum_reference(nu, ell, p):
+    """The upper-triangle Phi^T K Phi assembly equals the full-grid einsum
+    assembly up to summation order, and is exactly symmetric.  Up to
+    p = 256 one row chunk covers all cells; p = 512 takes four, the last
+    one wrapping onto hat 0."""
+    curve = curves.normalize_to_unit_diameter(curves.paper_boundary())
+    kern = kernels.KernelSpec(nu, ell)
+    J = int(np.log2(p)) - 1
+    A = assemble_single_scale(curve, kern, J)
+    ref = _einsum_reference(curve, kern, J)
+    assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(A, A.T)
+
+
 def test_assembly_rejects_bad_level(unit_circle):
     with pytest.raises(ValueError):
         assemble_single_scale(unit_circle, kernels.KernelSpec(0.5, 1.0), 1, j0=2)

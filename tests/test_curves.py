@@ -115,3 +115,49 @@ def test_config_roundtrip():
     assert curves.from_config("paper-boundary").kind == "fourier"
     with pytest.raises(ValueError):
         curves.from_config("no-such-preset")
+
+
+def _full_grid_diameter(curve, grid=4096, rtol=1e-10):
+    """Brute-force reference: norms over the full grid, same refinement."""
+    phi = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    pts = curve.xy(phi)
+    best = 0.0
+    for s in range(0, grid, 512):
+        d = np.linalg.norm(pts[s:s + 512, None, :] - pts[None, :, :], axis=-1)
+        i, j = divmod(int(np.argmax(d)), grid)
+        if d[i, j] > best:
+            best, bi, bj = d[i, j], s + i, j
+    h = 2 * np.pi / grid
+    p1, p2 = phi[bi], phi[bj]
+    for _ in range(4):
+        p1 = curves._golden_max(lambda a: float(distance(curve, a, p2)), p1 - h, p1 + h,
+                                tol=rtol * 2 * np.pi)
+        p2 = curves._golden_max(lambda b: float(distance(curve, p1, b)), p2 - h, p2 + h,
+                                tol=rtol * 2 * np.pi)
+    return float(distance(curve, p1, p2))
+
+
+def test_diameter_matches_full_grid_search():
+    b = paper_boundary()
+    assert diameter(b) == _full_grid_diameter(b)
+    other = CurveSpec(kind="fourier", cos_coeffs=(10.0, 3.0, -2.0, 1.0, 0.0, 0.5),
+                      sin_coeffs=(1.0, 2.0, 0.0, -1.0, 0.0))
+    for c in (circle(1.0), circle(3.0), other):
+        ref = _full_grid_diameter(c)
+        assert abs(diameter(c) - ref) <= 4 * np.spacing(ref)
+
+
+def test_caches_bounded_and_normalization_memoized():
+    from wavegrf import pipeline
+    assert normalize_to_unit_diameter.cache_info().maxsize == 32
+    assert pipeline._single_scale.cache_info().maxsize is not None
+    c = circle(2.5)
+    first = normalize_to_unit_diameter(c)
+    hits = normalize_to_unit_diameter.cache_info().hits
+    assert normalize_to_unit_diameter(circle(2.5)) is first
+    assert normalize_to_unit_diameter.cache_info().hits == hits + 1
+    # coefficient lists are stored as tuples, so such a spec is a cache key too
+    listed = CurveSpec(kind="fourier", cos_coeffs=list(paper_boundary().cos_coeffs),
+                       sin_coeffs=list(paper_boundary().sin_coeffs))
+    assert listed == paper_boundary()
+    assert normalize_to_unit_diameter(listed) is normalize_to_unit_diameter(paper_boundary())

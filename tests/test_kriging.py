@@ -7,7 +7,7 @@ from wavegrf.kriging import (FactoredGram, ObservationSet,
                              equispaced_observations, gram_condition,
                              gram_matrix, posterior_mean, posterior_mean_dense,
                              predict_at)
-from wavegrf.linalg import dense_bounds, dense_eigvals
+from wavegrf.linalg import cg_solve, dense_bounds, dense_eigvals
 
 
 def test_observation_validation():
@@ -165,3 +165,46 @@ def test_cg_iterations_stable_in_p(model):
         _, res = posterior_mean(m.tapered, om, m.system, y, 1e-2, cg_tol=1e-10)
         iters.append(res.iterations)
     assert max(iters) - min(iters) <= 2
+
+
+def test_unattainable_tolerance_reported_unconverged(model):
+    """CG decides on the true residual: at cg_tol = 1e-300 the recursive
+    residual would underflow to 0, but the solve reports no convergence."""
+    m = model("matern12", 2, 6, 64)
+    obs = equispaced_observations(8, 4.0 / 64, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    y = np.random.default_rng(8).standard_normal(8)
+    _, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-300)
+    assert not res.converged
+    assert res.residual > 0.0
+
+
+def _recursive_residual_cg(A, b, tol):
+    """Iteration count of CG stopped on the recursive residual alone."""
+    x, r = np.zeros_like(b), b.copy()
+    p, rs, it = r.copy(), r @ r, 0
+    while np.sqrt(rs) > tol * np.linalg.norm(b):
+        Ap = A(p)
+        alpha = rs / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs, rs_old = r @ r, rs
+        p = r + (rs / rs_old) * p
+        it += 1
+    return it
+
+
+def test_true_residual_check_costs_at_most_one_iteration(model):
+    """On the 256-observation Gram at p = 512 the true-residual stop adds
+    at most one iteration and meets the tolerance on the true residual."""
+    m = model("matern12", 2, 6, 512)
+    obs = equispaced_observations(256, 0.5 / 256, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    gram = FactoredGram(m.tapered, om, m.system, obs.sigma2)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        y = rng.standard_normal(256)
+        res = cg_solve(gram, y, tol=1e-10)
+        assert res.converged
+        assert res.iterations <= _recursive_residual_cg(gram, y, 1e-10) + 1
+        assert np.linalg.norm(y - gram(res.x)) <= 1e-10 * np.linalg.norm(y)
