@@ -281,12 +281,10 @@ def sparsity_report(obj, idx: LevelIndexSet | None = None) -> dict:
     if idx is None:
         raise ValueError("index set required for per-level-block counts")
     p = mat.shape[0]
-    blocks = {}
     coo = mat.tocoo()
-    lev = idx.level_of_position()
-    for j in idx.levels:
-        for jp in idx.levels:
-            key = (j, jp)
-            blocks[key] = int(np.count_nonzero((lev[coo.row] == j) & (lev[coo.col] == jp)))
+    lev, L = idx.level_of_position() - idx.j0, len(idx.levels)
+    counts = np.bincount(lev[coo.row] * L + lev[coo.col], minlength=L * L)
+    blocks = {(j, jp): int(counts[(j - idx.j0) * L + jp - idx.j0])
+              for j in idx.levels for jp in idx.levels}
     nnz = int(mat.nnz)
     return {"p": p, "nnz": nnz, "nnz_fraction": nnz / p**2, "blocks": blocks}

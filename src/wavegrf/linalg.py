@@ -260,6 +260,3 @@ class DenseOracle:
 
     def cholesky(self) -> np.ndarray:
         return np.linalg.cholesky(self._M)
-
-    def apply_function(self, f) -> np.ndarray:
-        return (self.vectors * f(self.eigenvalues)) @ self.vectors.T

@@ -4,12 +4,13 @@ Level-pair blocks of the covariance are averaged over block-dependent
 sample counts ``M_{jj'} = M~_{max(j,j')}`` where the per-level budget
 follows the geometric schedule ``M~_j = M_finest * 2^((J-j)(n+alpha)2/3)``
 (rounded up), anchored at the finest level.  Each block uses fresh draws;
-blocks (j,j') and (j',j) are estimated once and mirrored.
+blocks (j,j') and (j',j) are estimated once and mirrored, gathered on the
+taper pattern only.  Dense level roots are cached per covariance content.
 """
 
 from __future__ import annotations
 
-import csv
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy import sparse
 
 from . import rng
 from .compression import TaperPattern
-from .linalg import DenseOracle, SparseSymMatrix
+from .linalg import DenseOracle, SparseSymMatrix, dense_eigvals
 from .wavelets import LevelIndexSet
 
 
@@ -66,25 +67,38 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
     return SampleSchedule(j0=j0, J=J, counts=counts, n=n, alpha=alpha, alpha0=alpha0)
 
 
+#: read-only level roots by (sha256 of C, shape, p_j), least recently used first
+_ROOTS: dict = {}
+_ROOTS_MAX = 16
+
+
 class GaussianCoefficientSource:
     """Exact draws of wavelet coefficient vectors at any resolution level.
 
     Sampling at resolution ``j`` uses the dense symmetric square root of the
     leading principal block of the covariance (the law of the truncated
-    coefficient vector).  Draws are keyed by (seed, stream), reproducible.
+    coefficient vector), cached per content of ``C``; the source keeps a copy,
+    so later changes to ``C`` cannot mislabel a cached root.  Draws are keyed
+    by (seed, stream), reproducible.
     """
 
     def __init__(self, C: np.ndarray, idx: LevelIndexSet, seed: int):
         self.idx = idx
         self.seed = seed
-        self._roots = {}
-        self.C = np.asarray(C, dtype=float)
+        self.C = np.array(C, dtype=float, order="C")
+        self._digest = hashlib.sha256(self.C).digest()
 
     def _root(self, j: int) -> np.ndarray:
-        if j not in self._roots:
-            sub = self.idx.truncate(j)
-            self._roots[j] = DenseOracle(self.C[:sub.p, :sub.p]).sqrt()
-        return self._roots[j]
+        p_j = self.idx.truncate(j).p
+        key = (self._digest, self.C.shape, p_j)
+        root = _ROOTS.pop(key, None)
+        if root is None:
+            root = DenseOracle(self.C[:p_j, :p_j]).sqrt()
+            root.flags.writeable = False
+        _ROOTS[key] = root
+        if len(_ROOTS) > _ROOTS_MAX:
+            del _ROOTS[next(iter(_ROOTS))]
+        return root
 
     def draw(self, j_res: int, count: int, stream_id: int) -> np.ndarray:
         """(count, p(j_res)) i.i.d. coefficient vectors at resolution j_res."""
@@ -101,15 +115,8 @@ class CsvSampleSource:
     """
 
     def __init__(self, paths: dict):
-        self._data = {}
-        for j, path in paths.items():
-            rows = []
-            with open(path) as f:
-                for line in f:
-                    if line.startswith("#"):
-                        continue
-                    rows.append([float(v) for v in line.strip().split(",")])
-            self._data[j] = np.asarray(rows)
+        self._data = {j: np.loadtxt(path, delimiter=",", ndmin=2)
+                      for j, path in paths.items()}
         self._used = {j: 0 for j in self._data}
 
     def draw(self, j_res: int, count: int, stream_id: int) -> np.ndarray:
@@ -129,9 +136,7 @@ def write_sample_csv(path, level: int, samples: np.ndarray) -> None:
     samples = np.atleast_2d(samples)
     with open(path, "w", newline="") as f:
         f.write(f"# level: {level}\n")
-        w = csv.writer(f)
-        for row in samples:
-            w.writerow([f"{v:.17g}" for v in row])
+        np.savetxt(f, samples, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 @dataclass
@@ -156,14 +161,12 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
     idx = pattern.idx
     if sched.J != idx.J or sched.j0 != idx.j0:
         raise ValueError("schedule and pattern must share the level range")
-    p = idx.p
-    est = np.zeros((p, p))
+    parts = []                          # (rows, cols, values) on the pattern
     block_counts = {}
-    levels = list(idx.levels)
     stream_id = 1
-    for a, j in enumerate(levels):
+    for a, j in enumerate(idx.levels):
         sj = idx.level_slice(j)
-        for jp in levels[a:]:
+        for jp in idx.levels[a:]:
             sp = idx.level_slice(jp)
             m = sched.block_count(j, jp)
             block_counts[(j, jp)] = m
@@ -176,12 +179,12 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
                 Z2 = source.draw(max(j, jp), m, stream_id)
                 stream_id += 1
                 blk = 0.5 * (blk + (Z2[:, sp].T @ Z2[:, sj]).T / m)
-            bmask = pattern.mask[sj, sp]
-            blk = np.where(bmask, blk, 0.0)
-            est[sj, sp] = blk
+            r, c = np.nonzero(pattern.block(j, jp))
+            parts.append((r + sj.start, c + sp.start, blk[r, c]))
             if jp != j:
-                est[sp, sj] = blk.T
-    M = sparse.csr_matrix(est)
+                parts.append((c + sp.start, r + sj.start, blk[r, c]))
+    r, c, v = (np.concatenate(x) for x in zip(*parts))
+    M = sparse.csr_matrix((v, (r, c)), shape=(idx.p, idx.p))
     return MlmcEstimate(matrix=SparseSymMatrix(M), block_counts=block_counts,
                         work=sched.work(), seed=seed,
                         diagnostics={"regime": sched.regime})
@@ -189,17 +192,19 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
 
 def error_report(est: MlmcEstimate, truth: np.ndarray, idx: LevelIndexSet,
                  t: float = 0.0, tp: float = 0.0) -> dict:
-    """Operator-norm error and the level-weighted block-norm surrogate."""
+    """Operator-norm error (largest |eigenvalue|; ``truth`` must be symmetric)
+    and the level-weighted block-norm surrogate (2-norm of (j,j') reused for (j',j))."""
     truth = np.asarray(truth, dtype=float)
     E = est.matrix.to_dense()
     if truth.shape != E.shape:
         raise ValueError("dimension mismatch between estimate and truth")
     diff = truth - E
-    op = float(np.linalg.norm(diff, 2))
+    op = float(np.max(np.abs(dense_eigvals(diff))))
     weighted = 0.0
-    for j in idx.levels:
-        for jp in idx.levels:
+    for a, j in enumerate(idx.levels):
+        for jp in idx.levels[a:]:
             blk = diff[idx.level_slice(j), idx.level_slice(jp)]
-            weighted += 2.0 ** (-j * t - jp * tp) * float(np.linalg.norm(blk, 2))
-    return {"op_norm_error": op, "weighted_error": weighted,
-            "truth_norm": float(np.linalg.norm(truth, 2))}
+            w = 2.0 ** (-j * t - jp * tp) + (2.0 ** (-jp * t - j * tp) if jp != j else 0.0)
+            nrm = np.max(np.abs(np.linalg.eigvalsh(blk))) if jp == j else np.linalg.norm(blk, 2)
+            weighted += w * float(nrm)
+    return {"op_norm_error": op, "weighted_error": weighted}

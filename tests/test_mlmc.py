@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from wavegrf import mlmc
+from wavegrf import io, mlmc
+from wavegrf.cli import main
+from wavegrf.linalg import DenseOracle, SparseSymMatrix
 from wavegrf.mlmc import (CsvSampleSource, GaussianCoefficientSource,
                           error_report, estimate, schedule, write_sample_csv)
 
@@ -50,6 +55,71 @@ class ConstantSource:
     def draw(self, j_res, count, stream_id):
         p = self.idx.truncate(j_res).p
         return np.tile(self.v[:p], (count, 1))
+
+
+def dense_reference_estimate(pattern, sched, source):
+    """The estimator built in a dense (p, p) accumulator, masked blockwise and
+    converted to sparse at the end: the reference for the pattern-only one."""
+    idx = pattern.idx
+    est = np.zeros((idx.p, idx.p))
+    levels = list(idx.levels)
+    stream_id = 1
+    for a, j in enumerate(levels):
+        sj = idx.level_slice(j)
+        for jp in levels[a:]:
+            sp = idx.level_slice(jp)
+            m = sched.block_count(j, jp)
+            Z = source.draw(max(j, jp), m, stream_id)
+            stream_id += 1
+            blk = (Z[:, sj].T @ Z[:, sp]) / m
+            if jp == j:
+                blk = 0.5 * (blk + blk.T)
+            else:
+                Z2 = source.draw(max(j, jp), m, stream_id)
+                stream_id += 1
+                blk = 0.5 * (blk + (Z2[:, sp].T @ Z2[:, sj]).T / m)
+            blk = np.where(pattern.mask[sj, sp], blk, 0.0)
+            est[sj, sp] = blk
+            if jp != j:
+                est[sp, sj] = blk.T
+    return SparseSymMatrix(sparse.csr_matrix(est))
+
+
+@pytest.mark.parametrize("p", [64, 512])
+@pytest.mark.parametrize("kind", ["gaussian", "constant"])
+def test_estimate_bit_identical_to_dense_accumulator(model, p, kind):
+    m = model("matern12", 2, 6, p)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=100)
+    if kind == "gaussian":
+        def make():
+            return GaussianCoefficientSource(m.tapered.to_dense(), m.idx, seed=17)
+    else:
+        v = np.random.default_rng(p).standard_normal(p)
+
+        def make():
+            return ConstantSource(v, m.idx)
+    got = estimate(m.pattern, sched, make(), seed=17).matrix.csr
+    want = dense_reference_estimate(m.pattern, sched, make()).csr
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_cli_dumped_estimate_matches_dense_accumulator(tmp_path, model):
+    cfg = {"p_list": [16, 32], "runs": 1, "dump_estimate": True}
+    out = tmp_path / "out"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["mlmc", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(out), "--seed", "3"]) == 0
+    m = model("matern12", 2, 6, 32)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=100)
+    src = GaussianCoefficientSource(m.tapered.to_dense(), m.idx, seed=3)
+    ref = tmp_path / "ref.mtx"
+    io.write_matrix_market(ref, dense_reference_estimate(m.pattern, sched, src).csr)
+
+    def payload(path):
+        return [l for l in path.read_bytes().splitlines() if not l.startswith(b"%")]
+    assert payload(out / "mlmc_estimate_p32.mtx") == payload(ref)
 
 
 def test_zero_variance_source_gives_tapered_outer_product(model):
@@ -109,6 +179,67 @@ def test_error_report_zero_and_norms(model):
     assert rep2["weighted_error"] >= rep2["op_norm_error"] - 1e-12
     with pytest.raises(ValueError):
         error_report(est, C[:32, :32], m.idx)
+
+
+def svd_reference_report(E, truth, idx, t, tp):
+    diff = truth - E
+    weighted = sum(2.0 ** (-j * t - jp * tp)
+                   * np.linalg.norm(diff[idx.level_slice(j), idx.level_slice(jp)], 2)
+                   for j in idx.levels for jp in idx.levels)
+    return np.linalg.norm(diff, 2), weighted
+
+
+@pytest.mark.parametrize("t, tp", [(0.0, 0.0), (0.5, 0.25)])
+def test_error_report_matches_svd_reference(model, t, tp):
+    m = model("matern12", 2, 6, 64)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=20)
+    src = GaussianCoefficientSource(m.tapered.to_dense(), m.idx, seed=8)
+    est = estimate(m.pattern, sched, src, seed=8)
+    rep = error_report(est, m.wavelet_dense, m.idx, t=t, tp=tp)
+    op, weighted = svd_reference_report(est.matrix.to_dense(), m.wavelet_dense,
+                                        m.idx, t, tp)
+    assert rep["op_norm_error"] == pytest.approx(op, rel=1e-12)
+    assert rep["weighted_error"] == pytest.approx(weighted, rel=1e-12)
+    assert set(rep) == {"op_norm_error", "weighted_error"}
+
+
+def test_error_report_rejects_nonsymmetric_truth(model):
+    m = model("matern12", 2, 6, 64)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=20)
+    est = estimate(m.pattern, sched, ConstantSource(np.ones(64), m.idx), seed=0)
+    truth = m.wavelet_dense.copy()
+    truth[0, 5] += 1.0
+    with pytest.raises(ValueError):
+        error_report(est, truth, m.idx)
+
+
+def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
+    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    m = model("matern12", 2, 6, 64)
+    C = m.tapered.to_dense()
+    J = m.idx.J
+    r1 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
+    assert np.array_equal(r1, DenseOracle(C).sqrt())
+    assert not r1.flags.writeable
+    # a second source on the same content reuses the root
+    r2 = GaussianCoefficientSource(C.copy(), m.idx, seed=2)._root(J)
+    assert r2 is r1
+    # an in-place change of C gives fresh roots to the next source
+    C[3, 3] += 1.0
+    r3 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
+    assert r3 is not r1
+    assert np.array_equal(r3, DenseOracle(C).sqrt())
+    # bounded: many covariances never grow the cache past its limit
+    for k in range(mlmc._ROOTS_MAX + 4):
+        src = GaussianCoefficientSource(C + k * np.eye(64), m.idx, seed=0)
+        for j in m.idx.levels:
+            src.draw(j, 1, 0)
+        assert len(mlmc._ROOTS) <= mlmc._ROOTS_MAX
+    # a non-PSD covariance still fails, and is not cached
+    n = len(mlmc._ROOTS)
+    with pytest.raises(np.linalg.LinAlgError):
+        GaussianCoefficientSource(-np.eye(64), m.idx, seed=0).draw(J, 1, 0)
+    assert len(mlmc._ROOTS) == n
 
 
 def test_doubling_samples_helps_sqrt2(model):
