@@ -10,15 +10,14 @@ estimation, and posterior-mean prediction in near-linear complexity.
 
 __version__ = "0.1.0"
 
-from .curves import (CurveSpec, CurvePoint, circle, paper_boundary, evaluate,
-                     measure_weight, distance, diameter,
+from .curves import (CurveSpec, circle, paper_boundary, distance, diameter,
                      normalize_to_unit_diameter)
 from .kernels import (KernelSpec, OperatorOrder, CircleSpectrum, eval_kernel,
                       kernel_from_name, operator_order)
 from .wavelets import (MultiIndex, LevelIndexSet, WaveletSystem, get_system,
                        diag_scaling)
 from .assembly import (assemble_single_scale, to_wavelet_coordinates,
-                       from_wavelet_coordinates, assemble_compressed)
+                       from_wavelet_coordinates)
 from .compression import (CompressionParams, TaperPattern, taper_params,
                           build_pattern, apply_pattern, aposteriori_threshold,
                           sparsity_report)
@@ -27,7 +26,7 @@ from .linalg import (SparseSymMatrix, SpectralBounds, CgResult, precondition,
                      condition_number, DenseOracle)
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
 from .sampling import (ContourQuadrature, GrfSample, GrfSampler, build_contour,
-                       apply_sqrt, sqrt_matrix, sample_grf, synthesize_field)
+                       apply_sqrt, sqrt_matrix, synthesize_field)
 from .mlmc import (SampleSchedule, schedule, GaussianCoefficientSource,
                    CsvSampleSource, MlmcEstimate, estimate, error_report)
 from .kriging import (ObservationSet, ObservationMatrix,

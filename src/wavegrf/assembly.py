@@ -7,8 +7,7 @@ Entries are
 with hat functions ``phi_k`` (L2-normalized in the parameter domain) and the
 arc-length weight ``w = |gamma'|``.  The dense single-scale matrix is
 ``Phi^T K Phi`` over the upper triangle of cell pairs, plus triangle-rule
-self blocks; the same cell-pair rules back the pattern-restricted
-wavelet-coordinate assembly so both paths agree to quadrature accuracy.
+self blocks; the congruence transform takes it to wavelet coordinates.
 """
 
 from __future__ import annotations
@@ -30,24 +29,23 @@ def _kernel_callable(kernel):
 
 
 class CellInteractions:
-    """Pairwise cell interaction blocks for hat functions at one level.
+    """Cell quadrature data for hat functions at one level.
 
-    ``block(c, cp)`` is the 2x2 array of integrals of
-    ``kern * phi_{c+i} * phi_{cp+j} * w * w`` over cell ``c`` x cell ``cp``.
+    The interaction of cells ``c`` and ``cp`` is the 2x2 array of integrals
+    of ``kern * phi_{c+i} * phi_{cp+j} * w * w`` over cell ``c`` x cell ``cp``.
     The kernel has a kink only across the diagonal s = t, which meets the
     domain only for self pairs; those are split into two triangles on which
     the integrand is one-sidedly smooth and integrated by mapped tensor
-    Gauss panels.  All other pairs (including adjacent cells, where the
-    diagonal touches just a corner) take one plain panel per cell pair.
+    Gauss panels (``self_blocks``).  All other pairs (including adjacent
+    cells, where the diagonal touches just a corner) take one plain panel
+    per cell pair, from the points ``pts`` and weighted hats ``uwb``.
     """
 
     def __init__(self, curve: CurveSpec, kernel, level: int, q: int = 8):
         self.curve = curve
         self.kern = _kernel_callable(kernel)
-        self.level = level
         self.N = 2**level
         self.h = 1.0 / self.N
-        self.q = q
         x, w = gauss_rule(q)
         self.x, self.w = x, w
         self.norm = 2.0 ** (level / 2.0)
@@ -55,15 +53,8 @@ class CellInteractions:
         t = (np.arange(self.N)[:, None] + x[None, :]) * self.h     # (N, q)
         self.pts = curve.xy_t(t)                                   # (N, q, 2)
         uw = curve.weight_t(t) * (w[None, :] * self.h)             # weight * quad wt
-        self.basis = np.stack([1.0 - x, x], axis=1) * self.norm    # (q, 2)
-        self.uwb = uw[:, :, None] * self.basis[None, :, :]         # (N, q, 2)
-
-    # -- plain far-field panels -------------------------------------------
-    def plain_blocks(self, c: np.ndarray, cp: np.ndarray) -> np.ndarray:
-        """Tensor-Gauss blocks for pair arrays (must not be touching)."""
-        d = self.pts[c][:, :, None, :] - self.pts[cp][:, None, :, :]
-        K = self.kern(np.sqrt(np.sum(d * d, axis=-1)))             # (m, q, q)
-        return np.einsum("mab,mai,mbj->mij", K, self.uwb[c], self.uwb[cp])
+        basis = np.stack([1.0 - x, x], axis=1) * self.norm         # (q, 2)
+        self.uwb = uw[:, :, None] * basis[None, :, :]              # (N, q, 2)
 
     # -- self pairs: two smooth triangles ------------------------------------
     @cached_property
@@ -98,23 +89,6 @@ class CellInteractions:
             bt = np.stack([1.0 - xt, xt], axis=-1) * self.norm              # (q, q, 2)
             acc += np.einsum("mab,ma,mab,ai,abj->mij", K, us, ut, bs, bt)
         return acc
-
-    def blocks(self, c: np.ndarray, cp: np.ndarray) -> np.ndarray:
-        """Interaction blocks for arbitrary pair arrays."""
-        c = np.asarray(c, dtype=int)
-        cp = np.asarray(cp, dtype=int)
-        off = (cp - c) % self.N
-        out = np.empty((len(c), 2, 2))
-        far = off != 0
-        if np.any(far):
-            # chunk to bound the (m, q, q) temporaries
-            idx = np.nonzero(far)[0]
-            for s in range(0, len(idx), 4096):
-                sel = idx[s:s + 4096]
-                out[sel] = self.plain_blocks(c[sel], cp[sel])
-        if np.any(~far):
-            out[~far] = self.self_blocks[c[~far]]
-        return out
 
 
 def assemble_single_scale(curve: CurveSpec, kernel, J: int, j0: int = 2,
@@ -175,59 +149,3 @@ def from_wavelet_coordinates(system: WaveletSystem, C: np.ndarray) -> np.ndarray
     B = system.ifwt_dual(np.asarray(C, dtype=float))
     A = system.ifwt_dual(B.T)
     return 0.5 * (A + A.T)
-
-
-def assemble_compressed(curve: CurveSpec, kernel, system: WaveletSystem,
-                        J: int, pattern, q: int = 8,
-                        max_level: int = 11) -> "object":
-    """Assemble only the pattern entries of the wavelet-coordinate matrix.
-
-    Each kept entry is the quadrature of the kernel against the two wavelets
-    synthesized from single-scale pieces on their supports, reusing the same
-    cell-pair rules as the dense path.  Returns a sparse symmetric matrix.
-    """
-    from .linalg import SparseSymMatrix
-
-    idx = system.index_set(J)
-    if pattern.idx.p != idx.p:
-        raise ValueError("pattern dimension mismatch")
-    L = J + 1
-    if L > max_level:
-        raise ValueError(f"compressed assembly capped at level {max_level}")
-    inter = CellInteractions(curve, kernel, L, q=q)
-    N = inter.N
-    # hat coefficients (cell-edge weights) of every basis function: column
-    # lam of T maps the wavelet to single-scale hats
-    T = system.ifwt(np.eye(idx.p))
-    cell_w = {}
-    for lam in range(idx.p):
-        col = T[:, lam]
-        nz = np.nonzero(np.abs(col) > 1e-14)[0]
-        cell_w[lam] = (nz, col[nz])
-    rows, cols, vals = [], [], []
-    mask = pattern.mask
-    for lam in range(idx.p):
-        hats_a, wa = cell_w[lam]
-        partners = np.nonzero(mask[lam, :lam + 1])[0]
-        for mu in partners:
-            hats_b, wb = cell_w[mu]
-            # cells supporting a hat k are k-1 and k
-            ca = np.unique(np.concatenate([(hats_a - 1) % N, hats_a]) % N)
-            cb = np.unique(np.concatenate([(hats_b - 1) % N, hats_b]) % N)
-            cc, pp = np.meshgrid(ca, cb, indexing="ij")
-            blk = inter.blocks(cc.ravel(), pp.ravel()).reshape(len(ca), len(cb), 2, 2)
-            # accumulate hat-pair interactions weighted by the two columns
-            wa_full = np.zeros(N)
-            wa_full[hats_a] = wa
-            wb_full = np.zeros(N)
-            wb_full[hats_b] = wb
-            shift = np.array([0, 1])
-            v = np.einsum("abij,ai,bj->", blk,
-                          wa_full[(ca[:, None] + shift[None, :]) % N],
-                          wb_full[(cb[:, None] + shift[None, :]) % N])
-            rows.append(lam)
-            cols.append(mu)
-            vals.append(v)
-    M = sparse.coo_matrix((vals, (rows, cols)), shape=(idx.p, idx.p)).tocsr()
-    upper = sparse.triu(M.T, k=1)
-    return SparseSymMatrix((M + upper).tocsr())

@@ -185,9 +185,7 @@ def cmd_sample(cfg) -> None:
     seed = int(cfg["seed"])
     bounds = m.spectral_bounds(exact=cfg.get("exact_bounds", True))
     contour = build_contour(bounds, K)
-    sampler = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour,
-                                  taper_eps_params={"a": m.params.a,
-                                                    "a_prime": m.params.a_prime})
+    sampler = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour)
     Z = sampler.draw_matrix(seed, count)
     out = _outdir(cfg)
     meta = io.standard_meta(cfg) | {"model": m.meta, "K": K, "seed": seed}

@@ -25,6 +25,9 @@ from scipy import sparse
 from .curves import ChordBounds, CurveSpec
 from .wavelets import LevelIndexSet, WaveletSystem
 
+#: points per support arc (endpoints included) in the sampled distance minima
+ARC_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class CompressionParams:
@@ -120,11 +123,10 @@ def _classify_vs_threshold(gap, thresh, bounds: ChordBounds, chord_fn):
 
 
 def build_pattern(system: WaveletSystem, curve: CurveSpec,
-                  params: CompressionParams, J: int,
-                  n_arc_samples: int = 8) -> TaperPattern:
+                  params: CompressionParams, J: int) -> TaperPattern:
     """A-priori taper pattern over ``Lambda_J`` with chordal distances.
 
-    Support-to-support distances are minima over ``n_arc_samples`` points
+    Support-to-support distances are minima over ``ARC_SAMPLES`` points
     per arc (endpoints included); a two-sided comparison of chord versus
     parameter distance keeps the sampled evaluations to a thin band.  The
     cutoff formulas are evaluated with the single-scale resolution level
@@ -136,7 +138,7 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
     j0 = idx.j0
     bounds = ChordBounds(curve)
     mask = np.ones((idx.p, idx.p), dtype=bool)
-    rel = np.linspace(0.0, 1.0, n_arc_samples)
+    rel = np.linspace(0.0, 1.0, ARC_SAMPLES)
 
     def arc_points(j, ks, starts_width):
         start, width = starts_width

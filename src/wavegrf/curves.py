@@ -29,12 +29,6 @@ BOUNDARY_COEFFS = {
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    phi: float
-    xy: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class CurveSpec:
     """A closed curve: ``circle`` of given radius or ``fourier`` boundary.
 
@@ -104,16 +98,6 @@ class CurveSpec:
 
     def weight_t(self, t):
         return TWO_PI * self.speed(TWO_PI * np.asarray(t, dtype=float))
-
-
-def evaluate(curve: CurveSpec, phi: float) -> CurvePoint:
-    phi = float(phi) % TWO_PI
-    x, y = curve.xy(phi)
-    return CurvePoint(phi, (float(x), float(y)))
-
-
-def measure_weight(curve: CurveSpec, phi: float) -> float:
-    return float(curve.speed(float(phi)))
 
 
 def distance(curve: CurveSpec, phi1, phi2):

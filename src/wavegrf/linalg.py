@@ -54,25 +54,12 @@ class SparseSymMatrix:
         return SparseSymMatrix((D @ self.csr @ D).tocsr(), check=False)
 
 
-def precondition(A, idx: LevelIndexSet | None = None, s: float | None = None,
-                 mode: str = "levels"):
-    """Two-sided diagonal scaling ``D A D``.
-
-    ``mode='levels'`` uses ``D = diag(2^(s |lam|))`` over ``idx``;
-    ``mode='jacobi'`` uses ``D = diag(A)^(-1/2)``.
-    Returns the same container type (dense array or SparseSymMatrix).
+def precondition(A, idx: LevelIndexSet, s: float):
+    """Two-sided diagonal scaling ``D A D`` with ``D = diag(2^(s |lam|))``
+    over ``idx``.  Returns the same container type (dense array or
+    SparseSymMatrix).
     """
-    if mode == "levels":
-        if idx is None or s is None:
-            raise ValueError("levels mode needs an index set and exponent")
-        d = diag_scaling(idx, s)
-    elif mode == "jacobi":
-        diag = A.diagonal() if isinstance(A, SparseSymMatrix) else np.diag(A)
-        if np.any(diag <= 0):
-            raise ValueError("jacobi scaling needs positive diagonal entries")
-        d = 1.0 / np.sqrt(diag)
-    else:
-        raise ValueError(f"unknown preconditioning mode {mode!r}")
+    d = diag_scaling(idx, s)
     if isinstance(A, SparseSymMatrix):
         return A.scaled(d)
     A = np.asarray(A)
@@ -243,20 +230,16 @@ def condition_number(A, dense_limit: int = 2048) -> float:
 
 
 class DenseOracle:
-    """Full symmetric eigendecomposition with square root and Cholesky."""
+    """Full symmetric eigendecomposition with square root."""
 
     def __init__(self, A):
         M = _require_symmetric(A)
         if M.shape[0] > 4096:
             raise ValueError("dense oracle capped at p = 4096")
         self.eigenvalues, self.vectors = np.linalg.eigh(M)
-        self._M = M
 
     def sqrt(self) -> np.ndarray:
         if np.min(self.eigenvalues) < 0 and np.min(self.eigenvalues) < -1e-12 * max(self.eigenvalues):
             raise np.linalg.LinAlgError("matrix square root needs PSD input")
         lam = np.sqrt(np.maximum(self.eigenvalues, 0.0))
         return (self.vectors * lam) @ self.vectors.T
-
-    def cholesky(self) -> np.ndarray:
-        return np.linalg.cholesky(self._M)

@@ -34,7 +34,6 @@ class ContourQuadrature:
     K: int
     m: float                      # elliptic parameter 1 - c-/c+
     half_period: float            # K(m), the integration endpoint
-    second_kind: float            # E(m), kept for diagnostics
     nodes: np.ndarray             # t_k
     poles: np.ndarray             # w_k^2
     weights: np.ndarray           # dn/cn^2 at the nodes
@@ -63,14 +62,14 @@ def build_contour(bounds: SpectralBounds, K: int) -> ContourQuadrature:
     if lo <= 0 or hi <= 0:
         raise ValueError("spectral bounds must be positive")
     if np.isclose(lo, hi, rtol=1e-12):
-        return ContourQuadrature(lo, hi, K, 0.0, np.pi / 2, np.pi / 2,
+        return ContourQuadrature(lo, hi, K, 0.0, np.pi / 2,
                                  np.zeros(K), np.zeros(K), np.zeros(K), scalar=True)
     m = 1.0 - lo / hi
-    T, E = elliptic_complete(m)
+    T, _ = elliptic_complete(m)
     t = (np.arange(1, K + 1) - 0.5) * T / K
     sn, cn, dn = jacobi_sn_cn_dn(t, m)
     w2 = lo * (sn / cn) ** 2
-    return ContourQuadrature(lo, hi, K, m, T, E, t, w2, dn / cn**2)
+    return ContourQuadrature(lo, hi, K, m, T, t, w2, dn / cn**2)
 
 
 def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
@@ -119,7 +118,7 @@ class GrfSampler:
 
     def __init__(self, Ceps, idx: LevelIndexSet, ra: float,
                  contour: ContourQuadrature, method: str = "dense",
-                 cg_tol: float = 1e-12, taper_eps_params: dict | None = None):
+                 cg_tol: float = 1e-12):
         self.idx = idx
         self.ra = ra
         self.contour = contour
@@ -128,7 +127,6 @@ class GrfSampler:
         self.meta = {
             "J": idx.J, "j0": idx.j0, "K": contour.K,
             "cond_estimate": contour.c_plus / contour.c_minus,
-            "taper": taper_eps_params or {},
         }
         dvec = diag_scaling(idx, ra)
         if isinstance(Ceps, SparseSymMatrix):
@@ -166,14 +164,6 @@ class GrfSampler:
         if self._op is not None:
             return self._op @ xi
         return self.dinv * apply_sqrt(self.R, self.contour, xi, self.cg_tol)
-
-
-def sample_grf(system: WaveletSystem, Ceps, ra: float,
-               contour: ContourQuadrature, seed: int,
-               sample_index: int = 0, method: str = "dense") -> GrfSample:
-    p = Ceps.shape[0]
-    idx = system.index_set_for_dim(p)
-    return GrfSampler(Ceps, idx, ra, contour, method=method).draw(seed, sample_index)
 
 
 def synthesize_field(system: WaveletSystem, coefficients: np.ndarray,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wavegrf import assembly, compression, curves, kernels, wavelets
-from wavegrf.assembly import (assemble_compressed, assemble_single_scale,
-                              from_wavelet_coordinates, to_wavelet_coordinates)
+from wavegrf import assembly, curves, kernels, wavelets
+from wavegrf.assembly import (assemble_single_scale, from_wavelet_coordinates,
+                              to_wavelet_coordinates)
 
 
 @pytest.fixture(scope="module")
@@ -93,17 +93,8 @@ def test_far_field_entry_smallness_and_level_scaling():
         n = idx.level_sizes[J]
         h = 2.0 ** (-J)
         sl = idx.level_slice(J)
-        mask = np.eye(idx.p, dtype=bool)
-        ks = []
-        for kp in range(n):
-            gap = min(kp % n, (-kp) % n) * h - 5 * h
-            if gap > 0.05:
-                mask[sl.start, sl.start + kp] = True
-                mask[sl.start + kp, sl.start] = True
-                ks.append(kp)
-        params = compression.CompressionParams(d=2, dt=dt, r=-2.0)
-        pat = compression.TaperPattern(idx, mask, params)
-        S = assemble_compressed(curve, kern, sys_, J, pat, q=10).to_dense()
+        ks = [kp for kp in range(n) if min(kp % n, (-kp) % n) * h - 5 * h > 0.05]
+        S = to_wavelet_coordinates(sys_, assemble_single_scale(curve, kern, J, q=10))
         vals = np.array([abs(S[sl.start, sl.start + kp]) for kp in ks])
         maxima[J] = vals.max()
         # absolute smallness at the moment scale (constant accounts for the
@@ -161,30 +152,3 @@ def test_transform_requires_square():
     sys_ = wavelets.get_system(2, 6)
     with pytest.raises(ValueError):
         to_wavelet_coordinates(sys_, np.ones((8, 16)))
-
-
-# -- pattern-restricted assembly --------------------------------------------
-
-def test_compressed_full_pattern_matches_dense(model):
-    m = model("matern12", 2, 6, 64)
-    full = compression.TaperPattern(m.idx, np.ones((64, 64), dtype=bool), m.params)
-    S = assemble_compressed(m.curve, m.kernel, m.system, m.idx.J, full)
-    assert np.abs(S.to_dense() - m.wavelet_dense).max() \
-        <= 1e-10 * np.abs(m.wavelet_dense).max()
-
-
-def test_compressed_taper_pattern_matches_tapered_dense(model):
-    m = model("matern12", 2, 6, 64)
-    S = assemble_compressed(m.curve, m.kernel, m.system, m.idx.J, m.pattern)
-    ref = compression.apply_pattern(m.wavelet_dense, m.pattern)
-    assert np.abs(S.to_dense() - ref.to_dense()).max() \
-        <= 1e-10 * np.abs(m.wavelet_dense).max()
-    assert S.nnz == ref.nnz
-
-
-def test_compressed_diagonal_pattern(model):
-    m = model("matern12", 2, 6, 64)
-    diag = compression.TaperPattern(m.idx, np.eye(64, dtype=bool), m.params)
-    S = assemble_compressed(m.curve, m.kernel, m.system, m.idx.J, diag)
-    assert np.allclose(np.diag(S.to_dense()), np.diag(m.wavelet_dense), rtol=1e-10)
-    assert S.nnz == 64

@@ -5,25 +5,23 @@ from hypothesis import strategies as st
 
 from wavegrf import curves
 from wavegrf.curves import (ChordBounds, CurveSpec, circle, diameter, distance,
-                            evaluate, measure_weight, normalize_to_unit_diameter,
-                            paper_boundary)
+                            normalize_to_unit_diameter, paper_boundary)
 
 
-def test_circle_evaluate():
+def test_circle_xy():
     c = circle(1.0)
-    pt = evaluate(c, 0.0)
-    assert pt.xy == pytest.approx((1.0, 0.0))
-    assert evaluate(c, np.pi).xy == pytest.approx((-1.0, 0.0))
-    # phi reduced mod 2 pi
-    assert evaluate(c, 2 * np.pi + 0.25).phi == pytest.approx(0.25)
+    assert c.xy(0.0) == pytest.approx([1.0, 0.0])
+    assert c.xy(np.pi) == pytest.approx([-1.0, 0.0])
+    # 2 pi periodic in phi
+    assert c.xy(2 * np.pi + 0.25) == pytest.approx(c.xy(0.25))
 
 
 def test_boundary_radius_and_point_at_zero():
     b = paper_boundary()
     # direct evaluation of the finite Fourier series at phi = 0
     assert b.radius_at(0.0) == pytest.approx(49.9612, abs=1e-12)
-    assert evaluate(b, 0.0).xy[0] == pytest.approx(49.9612, abs=1e-12)
-    assert evaluate(b, 0.0).xy[1] == pytest.approx(0.0, abs=1e-12)
+    assert b.xy(0.0)[0] == pytest.approx(49.9612, abs=1e-12)
+    assert b.xy(0.0)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boundary_weight_at_zero():
@@ -34,12 +32,12 @@ def test_boundary_weight_at_zero():
     h = 1e-6
     fd = (b.radius_at(h) - b.radius_at(-h)) / (2 * h)
     assert b.radius_deriv(0.0) == pytest.approx(fd, abs=1e-7)
-    assert measure_weight(b, 0.0) == pytest.approx(np.hypot(49.9612, gp), rel=1e-12)
+    assert b.speed(0.0) == pytest.approx(np.hypot(49.9612, gp), rel=1e-12)
 
 
 def test_circle_weights():
-    assert measure_weight(circle(1.0), 0.3) == pytest.approx(1.0)
-    assert measure_weight(circle(2.0), 1.1) == pytest.approx(2.0)
+    assert circle(1.0).speed(0.3) == pytest.approx(1.0)
+    assert circle(2.0).speed(1.1) == pytest.approx(2.0)
 
 
 def test_distances_trivial():

@@ -26,11 +26,6 @@ def test_precondition_identity_and_cancellation():
     np.testing.assert_array_equal(same, A)
     ones = precondition(A, idx, 1.0)
     np.testing.assert_allclose(np.diag(ones), 1.0)
-    # jacobi mode normalizes any positive diagonal
-    jac = precondition(A, mode="jacobi")
-    np.testing.assert_allclose(np.diag(jac), 1.0)
-    with pytest.raises(ValueError):
-        precondition(A, mode="nope")
     with pytest.raises(ValueError):
         precondition(A[:3], idx, 1.0)
 
@@ -148,8 +143,6 @@ def test_dense_oracle():
     oa = DenseOracle(A)
     S = oa.sqrt()
     assert np.linalg.norm(S @ S - A, 2) <= 1e-10 * np.linalg.norm(A, 2)
-    L = oa.cholesky()
-    np.testing.assert_allclose(L @ L.T, A, atol=1e-10)
     with pytest.raises(ValueError):
         DenseOracle(np.array([[1.0, 2.0], [0.0, 1.0]]))
 

@@ -4,7 +4,7 @@ from scipy import stats
 
 from wavegrf.linalg import SpectralBounds, dense_bounds
 from wavegrf.sampling import (GrfSampler, apply_sqrt, build_contour,
-                              sample_grf, sqrt_matrix, synthesize_field)
+                              sqrt_matrix, synthesize_field)
 
 
 def bounds(lo, hi):
@@ -175,8 +175,6 @@ def test_draws_deterministic(model):
     s3 = GrfSampler(m.tapered, m.idx, m.order.ra, q).draw(seed=43, sample_index=5)
     assert not np.array_equal(s1.coefficients, s3.coefficients)
     assert s1.meta["J"] == m.idx.J and s1.meta["seed"] == 42
-    fn = sample_grf(m.system, m.tapered, m.order.ra, q, seed=42, sample_index=5)
-    assert np.array_equal(fn.coefficients, s1.coefficients)
 
 
 def test_cg_sampler_matches_dense_sampler(model):
