@@ -16,8 +16,7 @@ from .kernels import (KernelSpec, OperatorOrder, CircleSpectrum, eval_kernel,
                       kernel_from_name, operator_order)
 from .wavelets import (MultiIndex, LevelIndexSet, WaveletSystem, get_system,
                        diag_scaling)
-from .assembly import (assemble_single_scale, to_wavelet_coordinates,
-                       from_wavelet_coordinates)
+from .assembly import assemble_single_scale, to_wavelet_coordinates
 from .compression import (CompressionParams, TaperPattern, taper_params,
                           build_pattern, apply_pattern, aposteriori_threshold,
                           sparsity_report)

@@ -142,10 +142,3 @@ def to_wavelet_coordinates(system: WaveletSystem, A: np.ndarray) -> np.ndarray:
     C = system.fwt_dual(B.T)
     C = 0.5 * (C + C.T)
     return C
-
-
-def from_wavelet_coordinates(system: WaveletSystem, C: np.ndarray) -> np.ndarray:
-    """Inverse congruence of :func:`to_wavelet_coordinates`."""
-    B = system.ifwt_dual(np.asarray(C, dtype=float))
-    A = system.ifwt_dual(B.T)
-    return 0.5 * (A + A.T)

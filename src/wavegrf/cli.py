@@ -202,6 +202,8 @@ def cmd_sample(cfg) -> None:
 def cmd_mlmc(cfg) -> None:
     """Covariance estimation error table over resolution (mean of R runs)."""
     runs = int(cfg.get("runs", 10))
+    if runs < 1:
+        raise ConfigError(f"runs must be at least 1, got {runs}")
     p_list = cfg.get("p_list", [8, 16, 32, 64, 128, 256, 512])
     M_finest = int(cfg.get("M_finest", 100))
     seed = int(cfg["seed"])

@@ -5,7 +5,8 @@ the supports of the two basis functions are farther apart (chordally, on the
 curve) than a level-pair cutoff ``tau_{jj'}``, or, for unequal levels, when
 the finer function's support keeps a distance ``tau'_{jj'}`` from the
 coarser one's spline knots while the supports themselves are close.  All
-pairs touching the coarsest block are kept.  The cutoffs are
+pairs touching the coarsest block are kept.  The kept positions are stored
+as one symmetric boolean CSR matrix, built in O(nnz).  The cutoffs are
 
   tau_{jj'}  = a  * max(2^-min(j,j'),
                         2^((2J(d'-r/2) - (j+j')(d'+dt)) / (2 dt + r)))
@@ -17,7 +18,8 @@ and the induced consistency scale is ``eps = a^(-2(d+r/2)) + a'^(-(dt+r))``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +29,8 @@ from .wavelets import LevelIndexSet, WaveletSystem
 
 #: points per support arc (endpoints included) in the sampled distance minima
 ARC_SAMPLES = 8
+#: largest dimension for which :attr:`TaperPattern.mask` builds a dense mask
+MASK_MAX_P = 4096
 
 
 @dataclass(frozen=True)
@@ -82,28 +86,42 @@ def taper_params(params: CompressionParams, j: int, jp: int, J: int) -> tuple[fl
 
 @dataclass
 class TaperPattern:
+    """Kept positions of the taper: ``csr`` is a symmetric boolean (p, p) CSR
+    matrix with O(p) entries (a dense boolean mask is converted to it)."""
     idx: LevelIndexSet
-    mask: np.ndarray                      # boolean (p, p), symmetric
+    csr: sparse.csr_matrix
     params: CompressionParams
-    _nnz: int = field(init=False)
 
     def __post_init__(self):
-        self._nnz = int(np.count_nonzero(self.mask))
+        self.csr = sparse.csr_matrix(self.csr, dtype=bool)
 
     @property
     def nnz(self) -> int:
-        return self._nnz
+        return self.csr.nnz
 
     @property
     def nnz_fraction(self) -> float:
-        return self._nnz / float(self.idx.p) ** 2
+        return self.nnz / float(self.idx.p) ** 2
 
-    def block(self, j: int, jp: int) -> np.ndarray:
-        return self.mask[self.idx.level_slice(j), self.idx.level_slice(jp)]
+    @property
+    def mask(self) -> np.ndarray:
+        """Dense boolean copy, built on demand for ``p <= MASK_MAX_P`` only."""
+        if self.idx.p > MASK_MAX_P:
+            raise ValueError(f"dense mask refused for p = {self.idx.p} > {MASK_MAX_P}")
+        return self.csr.toarray()
+
+    @cached_property
+    def _blocks(self) -> dict:
+        rows = {j: self.csr[self.idx.level_slice(j)] for j in self.idx.levels}
+        return {(j, jp): rows[j][:, self.idx.level_slice(jp)].nonzero()
+                for j in self.idx.levels for jp in self.idx.levels}
+
+    def block(self, j: int, jp: int) -> tuple[np.ndarray, np.ndarray]:
+        """Local (rows, cols) of the kept entries of level-pair block (j, j')."""
+        return self._blocks[j, jp]
 
     def to_coo(self) -> sparse.coo_matrix:
-        r, c = np.nonzero(self.mask)
-        return sparse.coo_matrix((np.ones(len(r)), (r, c)), shape=self.mask.shape)
+        return sparse.coo_matrix(self.csr, dtype=float)
 
 
 def _classify_vs_threshold(gap, thresh, bounds: ChordBounds, chord_fn):
@@ -128,21 +146,20 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
 
     Support-to-support distances are minima over ``ARC_SAMPLES`` points
     per arc (endpoints included); a two-sided comparison of chord versus
-    parameter distance keeps the sampled evaluations to a thin band.  The
-    cutoff formulas are evaluated with the single-scale resolution level
-    ``J + 1 = log2 p`` (the coarsest block shifts the wavelet level count
-    down by one relative to the dimension).
+    parameter distance keeps the sampled evaluations to a thin band.  As the
+    level-j' support centers are equispaced, only a circular window of
+    columns around each row can be within ``tau_{jj'}``, so O(nnz) pairs are
+    classified.  The cutoff formulas are evaluated with the single-scale
+    resolution level ``J + 1 = log2 p`` (the coarsest block shifts the
+    wavelet level count down by one relative to the dimension).
     """
     idx = system.index_set(J)
-    J_formula = J + 1
     j0 = idx.j0
     bounds = ChordBounds(curve)
-    mask = np.ones((idx.p, idx.p), dtype=bool)
     rel = np.linspace(0.0, 1.0, ARC_SAMPLES)
 
-    def arc_points(j, ks, starts_width):
-        start, width = starts_width
-        t = (start[ks][:, None] + rel[None, :] * width) % 1.0
+    def arc_points(g, ks):
+        t = (g["start"][ks][:, None] + rel[None, :] * g["width"]) % 1.0
         return curve.xy_t(t)                       # (m, S, 2)
 
     geom = {}
@@ -152,66 +169,70 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
         h = 2.0 ** (-j)
         start = ((np.arange(n) + lo) * h) % 1.0
         width = (hi - lo) * h
-        center = (start + width / 2.0) % 1.0
+        center = (start + width / 2.0) % 1.0      # = (k + 1/2) h mod 1
         knot_step = h / 2.0
-        geom[j] = dict(start=start, width=width, center=center,
-                       lo=lo, hi=hi, h=h, knot_step=knot_step)
+        geom[j] = dict(start=start, width=width, center=center, h=h, knot_step=knot_step)
 
     def circ(x):
         x = np.abs(np.mod(x, 1.0))
         return np.minimum(x, 1.0 - x)
 
-    for j in range(j0 + 1, J + 1):
-        gj = geom[j]
-        for jp in range(j, J + 1):
-            gp = geom[jp]
-            tau, taup = taper_params(params, j, jp, J_formula)
-            if min(gj["width"], gp["width"]) >= 1.0 or (gj["width"] + gp["width"]) / 2.0 >= 0.5:
-                continue                            # supports wrap: keep block
-            dc = circ(gj["center"][:, None] - gp["center"][None, :])
-            gap = np.maximum(0.0, dc - (gj["width"] + gp["width"]) / 2.0)
+    rows, cols = [], []
+    for a, j in enumerate(idx.levels):
+        for jp in idx.levels[a:]:
+            n_p = idx.level_sizes[jp]
+            first, width = np.zeros(idx.level_sizes[j], dtype=int), n_p   # whole block
+            if j > j0:
+                gj, gp = geom[j], geom[jp]
+                half = (gj["width"] + gp["width"]) / 2.0
+                tau, taup = taper_params(params, j, jp, J + 1)
+                # every pair with c_lo * gap <= tau has its column center within
+                # reach of the row center; add one index of margin on each side
+                reach = tau / bounds.c_lo + half
+                w = 2 * int(np.ceil(reach / gp["h"])) + 3
+                if w < n_p:
+                    first = np.floor((gj["center"] - reach) / gp["h"] - 0.5).astype(int) - 1
+                    width = w
+            ii = np.repeat(np.arange(len(first)), width)
+            jj = ((first[:, None] + np.arange(width)) % n_p).ravel()
+            # pairs touching the coarsest block, or with wrapping supports, are kept
+            if j > j0 and half < 0.5:
+                gap = np.maximum(0.0, circ(gj["center"][ii] - gp["center"][jj]) - half)
 
-            def chord_support(which, _j=j, _jp=jp, _gap=gap):
-                ii, jj = which
-                a = arc_points(_j, ii, (geom[_j]["start"], geom[_j]["width"]))
-                b = arc_points(_jp, jj, (geom[_jp]["start"], geom[_jp]["width"]))
-                d = a[:, :, None, :] - b[:, None, :, :]
-                return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
+                def chord_support(which):
+                    a = arc_points(gj, ii[which[0]])
+                    b = arc_points(gp, jj[which[0]])
+                    d = a[:, :, None, :] - b[:, None, :, :]
+                    return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
 
-            drop = _classify_vs_threshold(gap, tau, bounds, chord_support)
+                drop = _classify_vs_threshold(gap, tau, bounds, chord_support)
+                if jp > j:
+                    # second branch: support of the finer function inside the
+                    # smooth part of the coarser one
+                    near = ~_classify_vs_threshold(gap, 2.0 ** (-j), bounds, chord_support)
+                    cand = np.nonzero(near & ~drop)[0]
+                    kgap = _knot_gap(gj, gp, ii[cand], jj[cand])
 
-            if jp > j:
-                # second branch: support of the finer function inside the
-                # smooth part of the coarser one
-                near = ~_classify_vs_threshold(gap, 2.0 ** (-j), bounds, chord_support)
-                cand = near & ~drop
-                if np.any(cand):
-                    ii, jj = np.nonzero(cand)
-                    kgap = _knot_gap(gj, gp, ii, jj)
-                    sub_bounds = bounds
+                    def chord_knots(which):
+                        sel = cand[which[0]]
+                        return _sampled_knot_chord(curve, j, jp, ii[sel], jj[sel], geom, rel)
 
-                    def chord_knots(which, _ii=ii, _jj=jj):
-                        sel = which[0]
-                        return _sampled_knot_chord(system, curve, j, jp,
-                                                   _ii[sel], _jj[sel], geom, rel)
-
-                    far_knots = _classify_vs_threshold(kgap, taup, sub_bounds, chord_knots)
-                    drop[ii[far_knots], jj[far_knots]] = True
-
-            bj = idx.level_slice(j)
-            bp = idx.level_slice(jp)
-            keep = ~drop
-            mask[bj, bp] = keep
-            mask[bp, bj] = keep.T
-    return TaperPattern(idx=idx, mask=mask, params=params)
+                    drop[cand[_classify_vs_threshold(kgap, taup, bounds, chord_knots)]] = True
+                ii, jj = ii[~drop], jj[~drop]
+            r, c = ii + idx.level_slice(j).start, jj + idx.level_slice(jp).start
+            # a diagonal block is stored transposed, as (c, r)
+            rows += [c] if jp == j else [r, c]
+            cols += [r] if jp == j else [c, r]
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    csr = sparse.csr_matrix((np.ones(len(r), dtype=bool), (r, c)), shape=(idx.p, idx.p))
+    return TaperPattern(idx=idx, csr=csr, params=params)
 
 
 def _knot_gap(gj, gp, ii, jj):
     """Circular parameter distance from the knot grid of the coarse function
     (clamped to its support) to the fine support arc."""
-    s_f = gp["start"][jj]
     w_f = gp["width"]
-    cen_f = (s_f + w_f / 2.0) % 1.0
+    cen_f = gp["center"][jj]
     s_c = gj["start"][ii]
     w_c = gj["width"]
     step = gj["knot_step"]
@@ -224,7 +245,7 @@ def _knot_gap(gj, gp, ii, jj):
     return np.maximum(0.0, d - w_f / 2.0)
 
 
-def _sampled_knot_chord(system, curve, j, jp, ii, jj, geom, rel):
+def _sampled_knot_chord(curve, j, jp, ii, jj, geom, rel):
     """Min chordal distance between coarse knots and sampled fine arcs."""
     gj, gp = geom[j], geom[jp]
     step = gj["knot_step"]
@@ -241,9 +262,9 @@ def apply_pattern(A: np.ndarray, pattern: TaperPattern):
     """Zero the complement of the pattern, keeping entries bit-exactly."""
     from .linalg import SparseSymMatrix
     A = np.asarray(A)
-    if A.shape != pattern.mask.shape:
+    if A.shape != pattern.csr.shape:
         raise ValueError("dimension mismatch between matrix and pattern")
-    r, c = np.nonzero(pattern.mask)
+    r, c = pattern.csr.nonzero()
     M = sparse.coo_matrix((A[r, c], (r, c)), shape=A.shape).tocsr()
     return SparseSymMatrix(M)
 
@@ -275,7 +296,7 @@ def sparsity_report(obj, idx: LevelIndexSet | None = None) -> dict:
     from .linalg import SparseSymMatrix
     if isinstance(obj, TaperPattern):
         idx = obj.idx
-        mat = sparse.csr_matrix(obj.to_coo())
+        mat = obj.csr
     elif isinstance(obj, SparseSymMatrix):
         mat = obj.csr
     else:

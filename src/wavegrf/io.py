@@ -74,9 +74,8 @@ def write_matrix_market(path, matrix, meta: dict | None = None) -> Path:
 
 def write_pattern_fingerprint(path, pattern, meta: dict | None = None) -> Path:
     """(row, col) list of kept entries, for plotting the band structure."""
-    coo = pattern.to_coo()
-    order = np.lexsort((coo.col, coo.row))
-    return write_csv(path, {"row": coo.row[order], "col": coo.col[order]}, meta)
+    row, col = pattern.csr.nonzero()             # row-major: the CSR is canonical
+    return write_csv(path, {"row": row, "col": col}, meta)
 
 
 def write_meta(path, config: dict, extra: dict | None = None) -> Path:

@@ -179,7 +179,7 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
                 Z2 = source.draw(max(j, jp), m, stream_id)
                 stream_id += 1
                 blk = 0.5 * (blk + (Z2[:, sp].T @ Z2[:, sj]).T / m)
-            r, c = np.nonzero(pattern.block(j, jp))
+            r, c = pattern.block(j, jp)
             parts.append((r + sj.start, c + sp.start, blk[r, c]))
             if jp != j:
                 parts.append((c + sp.start, r + sj.start, blk[r, c]))
@@ -190,21 +190,11 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
                         diagnostics={"regime": sched.regime})
 
 
-def error_report(est: MlmcEstimate, truth: np.ndarray, idx: LevelIndexSet,
-                 t: float = 0.0, tp: float = 0.0) -> dict:
-    """Operator-norm error (largest |eigenvalue|; ``truth`` must be symmetric)
-    and the level-weighted block-norm surrogate (2-norm of (j,j') reused for (j',j))."""
+def error_report(est: MlmcEstimate, truth: np.ndarray, idx: LevelIndexSet) -> dict:
+    """Operator-norm error: the largest |eigenvalue| of ``truth - E``
+    (``truth`` must be symmetric and match ``idx``)."""
     truth = np.asarray(truth, dtype=float)
     E = est.matrix.to_dense()
-    if truth.shape != E.shape:
-        raise ValueError("dimension mismatch between estimate and truth")
-    diff = truth - E
-    op = float(np.max(np.abs(dense_eigvals(diff))))
-    weighted = 0.0
-    for a, j in enumerate(idx.levels):
-        for jp in idx.levels[a:]:
-            blk = diff[idx.level_slice(j), idx.level_slice(jp)]
-            w = 2.0 ** (-j * t - jp * tp) + (2.0 ** (-jp * t - j * tp) if jp != j else 0.0)
-            nrm = np.max(np.abs(np.linalg.eigvalsh(blk))) if jp == j else np.linalg.norm(blk, 2)
-            weighted += w * float(nrm)
-    return {"op_norm_error": op, "weighted_error": weighted}
+    if not truth.shape == E.shape == (idx.p, idx.p):
+        raise ValueError("dimension mismatch between estimate, truth and index set")
+    return {"op_norm_error": float(np.max(np.abs(dense_eigvals(truth - E))))}

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
-from .linalg import SparseSymMatrix, SpectralBounds, cg_solve, _as_apply
+from .linalg import SparseSymMatrix, SpectralBounds, cg_solve, precondition, _as_apply
 from .wavelets import LevelIndexSet, WaveletSystem, diag_scaling
 
 
@@ -128,11 +128,7 @@ class GrfSampler:
             "J": idx.J, "j0": idx.j0, "K": contour.K,
             "cond_estimate": contour.c_plus / contour.c_minus,
         }
-        dvec = diag_scaling(idx, ra)
-        if isinstance(Ceps, SparseSymMatrix):
-            self.R = Ceps.scaled(dvec)
-        else:
-            self.R = dvec[:, None] * np.asarray(Ceps) * dvec[None, :]
+        self.R = precondition(Ceps, idx, ra)
         self.dinv = diag_scaling(idx, -ra)
         self._op = None
         if method == "dense":

@@ -106,6 +106,15 @@ def test_mlmc_command(tmp_path):
     assert lines[0].startswith("p,level,M_coarse,op_error")
 
 
+@pytest.mark.parametrize("cfg", [{"runs": 0, "dump_estimate": True},
+                                 {"runs": 0}])
+def test_mlmc_rejects_zero_runs(tmp_path, capsys, cfg):
+    rc, out = run(tmp_path, "mlmc", {"p_list": [8]} | cfg, seed=2)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (out / "mlmc_errors.csv").exists()
+
+
 def test_krige_command_and_observation_file(tmp_path):
     cfg = {"p": 64, "K_obs": 8, "sigma2": 1e-2, "K": 20,
            "targets": [0.0, 0.25, 0.5], "dump_factors": True}

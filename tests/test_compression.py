@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from wavegrf import compression, curves, linalg
-from wavegrf.compression import (CompressionParams, TaperPattern,
-                                 aposteriori_threshold, apply_pattern,
-                                 build_pattern, sparsity_report, taper_params)
+from wavegrf import compression, curves, kernels, linalg
+from wavegrf.compression import (ARC_SAMPLES, CompressionParams, TaperPattern,
+                                 _classify_vs_threshold, _knot_gap,
+                                 _sampled_knot_chord, aposteriori_threshold,
+                                 apply_pattern, build_pattern, sparsity_report,
+                                 taper_params)
+from wavegrf.curves import ChordBounds
+from wavegrf.pipeline import _DEFAULT_FAMILY
 from wavegrf.wavelets import get_system
 
 
@@ -191,3 +198,129 @@ def test_sparsity_report(model):
     assert sparsity_report(eye)["nnz"] == 128
     rep2 = sparsity_report(m.tapered, m.idx)
     assert rep2["nnz"] == m.tapered.nnz
+
+
+def _dense_reference_pattern(system, curve, params, J):
+    """Dense (p, p) taper mask from full per-block gap matrices: the
+    reference that the windowed O(nnz) ``build_pattern`` must reproduce."""
+    idx = system.index_set(J)
+    J_formula = J + 1
+    j0 = idx.j0
+    bounds = ChordBounds(curve)
+    mask = np.ones((idx.p, idx.p), dtype=bool)
+    rel = np.linspace(0.0, 1.0, ARC_SAMPLES)
+
+    def arc_points(j, ks, starts_width):
+        start, width = starts_width
+        t = (start[ks][:, None] + rel[None, :] * width) % 1.0
+        return curve.xy_t(t)                       # (m, S, 2)
+
+    geom = {}
+    for j in range(j0 + 1, J + 1):
+        n = idx.level_sizes[j]
+        lo, hi = system._reference_support(j)
+        h = 2.0 ** (-j)
+        start = ((np.arange(n) + lo) * h) % 1.0
+        width = (hi - lo) * h
+        center = (start + width / 2.0) % 1.0
+        knot_step = h / 2.0
+        geom[j] = dict(start=start, width=width, center=center,
+                       lo=lo, hi=hi, h=h, knot_step=knot_step)
+
+    def circ(x):
+        x = np.abs(np.mod(x, 1.0))
+        return np.minimum(x, 1.0 - x)
+
+    for j in range(j0 + 1, J + 1):
+        gj = geom[j]
+        for jp in range(j, J + 1):
+            gp = geom[jp]
+            tau, taup = taper_params(params, j, jp, J_formula)
+            if min(gj["width"], gp["width"]) >= 1.0 or (gj["width"] + gp["width"]) / 2.0 >= 0.5:
+                continue                            # supports wrap: keep block
+            dc = circ(gj["center"][:, None] - gp["center"][None, :])
+            gap = np.maximum(0.0, dc - (gj["width"] + gp["width"]) / 2.0)
+
+            def chord_support(which, _j=j, _jp=jp, _gap=gap):
+                ii, jj = which
+                a = arc_points(_j, ii, (geom[_j]["start"], geom[_j]["width"]))
+                b = arc_points(_jp, jj, (geom[_jp]["start"], geom[_jp]["width"]))
+                d = a[:, :, None, :] - b[:, None, :, :]
+                return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
+
+            drop = _classify_vs_threshold(gap, tau, bounds, chord_support)
+
+            if jp > j:
+                near = ~_classify_vs_threshold(gap, 2.0 ** (-j), bounds, chord_support)
+                cand = near & ~drop
+                if np.any(cand):
+                    ii, jj = np.nonzero(cand)
+                    kgap = _knot_gap(gj, gp, ii, jj)
+
+                    def chord_knots(which, _ii=ii, _jj=jj):
+                        sel = which[0]
+                        return _sampled_knot_chord(curve, j, jp,
+                                                   _ii[sel], _jj[sel], geom, rel)
+
+                    far_knots = _classify_vs_threshold(kgap, taup, bounds, chord_knots)
+                    drop[ii[far_knots], jj[far_knots]] = True
+
+            bj = idx.level_slice(j)
+            bp = idx.level_slice(jp)
+            keep = ~drop
+            mask[bj, bp] = keep
+            mask[bp, bj] = keep.T
+    return mask
+
+
+def _family_params(kname):
+    d, dt = _DEFAULT_FAMILY[kname]
+    r = kernels.operator_order(kernels.kernel_from_name(kname)).r
+    return get_system(d, dt), CompressionParams(d=d, dt=dt, r=r)
+
+
+@pytest.mark.parametrize("p", [64, 512])
+@pytest.mark.parametrize("kname", sorted(_DEFAULT_FAMILY))
+def test_pattern_matches_dense_reference(boundary, kname, p):
+    sys_, params = _family_params(kname)
+    J = int(np.log2(p)) - 1
+    pat = build_pattern(sys_, boundary, params, J)
+    assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, J))
+
+
+@pytest.mark.parametrize("params", [CompressionParams(d=2, dt=6, r=2.0),
+                                    std_params(a=1.5, ap=1.5),
+                                    std_params(a=3.0, ap=3.0)])
+def test_pattern_matches_dense_reference_other_params(boundary, params):
+    sys_ = get_system(2, 6)
+    pat = build_pattern(sys_, boundary, params, J=7)
+    assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, 7))
+
+
+def test_pattern_matches_dense_reference_p4096(boundary):
+    sys_, params = _family_params("matern12")
+    pat = build_pattern(sys_, boundary, params, J=11)
+    assert pat.nnz == 693612
+    assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, 11))
+
+
+def test_pattern_build_memory_scales_with_nnz(boundary):
+    """Quadrupling p multiplies nnz by about 5; the build's traced peak must
+    grow like nnz, not like p^2 (a factor 16; a dense boolean (p, p) mask on
+    top of the sparse build already gives about 7.6)."""
+    sys_, params = _family_params("matern12")
+    peaks = []
+    for J in (10, 12):                         # p = 2048, 8192
+        tracemalloc.start()
+        build_pattern(sys_, boundary, params, J)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] / peaks[0] <= 6.0
+
+
+def test_dense_mask_refused_above_limit():
+    idx = get_system(2, 6).index_set(12)       # p = 8192
+    pat = TaperPattern(idx, sparse.eye(idx.p, format="csr"), std_params())
+    assert pat.nnz == idx.p
+    with pytest.raises(ValueError):
+        pat.mask
