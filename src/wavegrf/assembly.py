@@ -22,12 +22,6 @@ from .quadrature import gauss_rule
 from .wavelets import WaveletSystem
 
 
-def _kernel_callable(kernel):
-    if callable(kernel):
-        return kernel
-    raise TypeError("kernel must be callable (KernelSpec or function of distance)")
-
-
 class CellInteractions:
     """Cell quadrature data for hat functions at one level.
 
@@ -36,25 +30,49 @@ class CellInteractions:
     The kernel has a kink only across the diagonal s = t, which meets the
     domain only for self pairs; those are split into two triangles on which
     the integrand is one-sidedly smooth and integrated by mapped tensor
-    Gauss panels (``self_blocks``).  All other pairs (including adjacent
-    cells, where the diagonal touches just a corner) take one plain panel
-    per cell pair, from the points ``pts`` and weighted hats ``uwb``.
+    Gauss panels of order ``q`` (``self_blocks``).  All other pairs
+    (including adjacent cells, where the diagonal touches just a corner)
+    have an analytic integrand and take one plain panel per cell pair, from
+    the points and weighted hats of ``panel(m)``.
     """
 
     def __init__(self, curve: CurveSpec, kernel, level: int, q: int = 8):
-        self.curve = curve
-        self.kern = _kernel_callable(kernel)
+        if not callable(kernel):
+            raise TypeError("kernel must be callable (KernelSpec or function of distance)")
+        self.curve, self.kern = curve, kernel
         self.N = 2**level
         self.h = 1.0 / self.N
-        x, w = gauss_rule(q)
-        self.x, self.w = x, w
+        self.q = q
         self.norm = 2.0 ** (level / 2.0)
-        # per-cell plain-panel data
-        t = (np.arange(self.N)[:, None] + x[None, :]) * self.h     # (N, q)
-        self.pts = curve.xy_t(t)                                   # (N, q, 2)
-        uw = curve.weight_t(t) * (w[None, :] * self.h)             # weight * quad wt
-        basis = np.stack([1.0 - x, x], axis=1) * self.norm         # (q, 2)
-        self.uwb = uw[:, :, None] * basis[None, :, :]              # (N, q, 2)
+
+    def panel(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Order-``m`` plain-panel points (N, m, 2) and weighted hats (N, m, 2)."""
+        x, w = gauss_rule(m)
+        t = (np.arange(self.N)[:, None] + x[None, :]) * self.h
+        uw = self.curve.weight_t(t) * (w[None, :] * self.h)        # weight * quad wt
+        basis = np.stack([1.0 - x, x], axis=1) * self.norm          # (m, 2)
+        return self.curve.xy_t(t), uw[:, :, None] * basis[None, :, :]
+
+    def pair_blocks(self, m: int, seps) -> np.ndarray:
+        """(len(seps), N, 2, 2) blocks of the pairs (c, c + sep) at order m."""
+        pts, uwb = self.panel(m)
+        nxt = (np.arange(self.N) + np.asarray(seps)[:, None]) % self.N   # (S, N)
+        d = pts[None, :, :, None, :] - pts[nxt][:, :, None, :, :]
+        K = self.kern(np.sqrt(np.sum(d * d, axis=-1)))                    # (S, N, m, m)
+        return np.einsum("scab,cai,scbj->scij", K, uwb, uwb[nxt])
+
+    def far_order(self, rtol: float = 1e-14) -> int:
+        """Lowest plain-panel order that matches order ``q`` to ``rtol`` of the
+        largest entry on all adjacent pairs (the Gauss error is largest there
+        or nearly so) and all pairs N/4 cells apart (for kernels whose error
+        is flat in the separation); every non-self integrand is analytic."""
+        seps = sorted({1, max(1, self.N // 4)})
+        ref = self.pair_blocks(self.q, seps)
+        tol = rtol * np.abs(ref).max()
+        for m in range(1, self.q):
+            if np.abs(self.pair_blocks(m, seps) - ref).max() <= tol:
+                return m
+        return self.q
 
     # -- self pairs: two smooth triangles ------------------------------------
     @cached_property
@@ -65,27 +83,20 @@ class CellInteractions:
         With ``T[i,j]`` the upper triangle (t > s), the lower one equals
         ``T[j,i]`` by symmetry of the integrand.
         """
-        x, w = self.x, self.w
+        x, w = gauss_rule(self.q)
         cells = np.arange(self.N)
+        ts = (cells[:, None] + x[None, :]) * self.h     # s in [0, 1]
+        ps = self.curve.xy_t(ts)                         # (N, q, 2)
+        us = self.curve.weight_t(ts) * (w[None, :] * self.h)                # (N, q)
+        bs = np.stack([1.0 - x, x], axis=1) * self.norm                     # (q, 2)
         acc = np.zeros((self.N, 2, 2))
-        for upper in (True, False):
-            if upper:
-                xs = x                                   # s in [0, 1]
-                xt = x[:, None] + (1.0 - x[:, None]) * x[None, :]   # (a, b)
-                jac = (1.0 - x)[:, None] * np.ones_like(x)[None, :]
-            else:
-                xs = x
-                xt = x[:, None] * x[None, :]             # t in [0, s]
-                jac = x[:, None] * np.ones_like(x)[None, :]
-            ts = (cells[:, None] + xs[None, :]) * self.h
+        # t in [s, 1] (upper) and in [0, s] (lower) at (a, b), with Jacobian jac[a]
+        for xt, jac in ((x[:, None] + (1.0 - x[:, None]) * x[None, :], 1.0 - x),
+                        (x[:, None] * x[None, :], x)):
             tt = (cells[:, None, None] + xt[None, :, :]) * self.h
-            ps = self.curve.xy_t(ts)                     # (N, q, 2)
-            pt = self.curve.xy_t(tt)                     # (N, q, q, 2)
-            d = ps[:, :, None, :] - pt
+            d = ps[:, :, None, :] - self.curve.xy_t(tt)  # (N, q, q, 2)
             K = self.kern(np.sqrt(np.sum(d * d, axis=-1)))
-            us = self.curve.weight_t(ts) * (w[None, :] * self.h)            # (N, q)
-            ut = self.curve.weight_t(tt) * ((w[None, :] * jac) * self.h)    # (N, q, q)
-            bs = np.stack([1.0 - xs, xs], axis=1) * self.norm               # (q, 2)
+            ut = self.curve.weight_t(tt) * ((w[None, :] * jac[:, None]) * self.h)  # (N, q, q)
             bt = np.stack([1.0 - xt, xt], axis=-1) * self.norm              # (q, q, 2)
             acc += np.einsum("mab,ma,mab,ai,abj->mij", K, us, ut, bs, bt)
         return acc
@@ -96,29 +107,33 @@ def assemble_single_scale(curve: CurveSpec, kernel, J: int, j0: int = 2,
     """Dense single-scale Galerkin matrix spanning the space of ``Lambda_J``.
 
     The hat basis lives at level ``L = J + 1`` (dimension ``p = N = 2**L``).
-    ``Phi`` is the sparse (N q x N) map from plain-panel quadrature points to
-    hats (entries ``uwb``).  Row chunks of cells c add ``Phi^T K Phi`` over
-    the cell pairs c < c' to ``B``, self pairs add half their triangle-rule
-    blocks, and the result ``B + B^T`` is symmetric by construction.
+    Self pairs take the order-``q`` triangle rule, every other cell pair one
+    plain panel of order ``m = far_order() <= q``; ``Phi`` is the sparse
+    (N m x N) map from those points to hats.  Row chunks of at most 16 cells
+    c add ``Phi^T K Phi`` over the pairs c < c' to ``B``, self pairs add half
+    their blocks, and the result ``B + B^T`` is symmetric by construction.
     """
     if J < j0:
         raise ValueError("need J >= j0")
     inter = CellInteractions(curve, kernel, J + 1, q=q)
-    N, cells, pt = inter.N, np.arange(inter.N), np.arange(inter.N * q)
-    hat_of = (np.repeat(pt // q, 2) + np.tile([0, 1], N * q)) % N     # hats c, c+1 of points
-    Phi = sparse.csr_matrix((inter.uwb.ravel(), (np.repeat(pt, 2), hat_of)), shape=(N * q, N))
-    X, Y = inter.pts[..., 0].ravel(), inter.pts[..., 1].ravel()
+    m = inter.far_order()
+    pts, uwb = inter.panel(m)
+    N, cells, pt = inter.N, np.arange(inter.N), np.arange(inter.N * m)
+    hat_of = (np.repeat(pt // m, 2) + np.tile([0, 1], N * m)) % N     # hats c, c+1 of points
+    Phi = sparse.csr_matrix((uwb.ravel(), (np.repeat(pt, 2), hat_of)), shape=(N * m, N))
+    X, Y = pts[..., 0].ravel(), pts[..., 1].ravel()
     A = np.zeros((N, N))
-    chunk = max(1, (1 << 22) // (N * q * q))
+    # short chunks keep the discarded lower half of each diagonal block small
+    chunk = max(1, min(16, (1 << 22) // (N * m * m)))
     for s in range(0, N, chunk):
         e = min(s + chunk, N)
-        r, c = slice(s * q, e * q), slice(s * q, N * q)
+        r, c = slice(s * m, e * m), slice(s * m, N * m)
         d2 = np.subtract.outer(X[c], X[r]) ** 2
         d2 += np.subtract.outer(Y[c], Y[r]) ** 2
         K = inter.kern(np.sqrt(d2, out=d2))                       # (cols, rows)
         # keep cell pairs c' > c only: self pairs take the triangle rule
         lower = np.nonzero(cells[:e - s, None] <= cells[None, :e - s])
-        K.reshape(N - s, q, e - s, q)[lower[0], :, lower[1], :] = 0.0
+        K.reshape(N - s, m, e - s, m)[lower[0], :, lower[1], :] = 0.0
         # hats s..e: cell N - 1 has no partner c' > c, so its wrapped hat 0 gets nothing
         A[s:e + 1] += Phi[r, s:e + 1].T @ (Phi[c].T @ K).T
     hat = (cells[:, None, None] + np.indices((2, 2))[:, None]) % N     # (i, j) hats of c
@@ -138,7 +153,5 @@ def to_wavelet_coordinates(system: WaveletSystem, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    B = system.fwt_dual(A)            # T^T applied to columns
-    C = system.fwt_dual(B.T)
-    C = 0.5 * (C + C.T)
-    return C
+    C = system.fwt_dual(system.fwt_dual(A).T)       # T^T applied to columns, then rows
+    return 0.5 * (C + C.T)

@@ -52,14 +52,9 @@ class ObservationSet:
         if len(c) > 1:
             order = np.argsort((c - w / 2.0) % 1.0)
             starts = ((c - w / 2.0) % 1.0)[order]
-            widths = w[order]
-            for i in range(len(c)):
-                nxt = (i + 1) % len(c)
-                room = (starts[nxt] - starts[i]) % 1.0
-                if nxt == 0:
-                    room = 1.0 - ((starts[i] - starts[0]) % 1.0)
-                if widths[i] > room + 1e-12:
-                    raise ValueError("observation supports overlap")
+            # room up to the next start; the last box wraps round to the first
+            if np.any(w[order] > np.diff(starts, append=starts[0] + 1.0) + 1e-12):
+                raise ValueError("observation supports overlap")
 
     @property
     def K(self) -> int:
@@ -67,12 +62,9 @@ class ObservationSet:
 
     def norms(self, curve: CurveSpec, samples: int = 256) -> np.ndarray:
         """L2 norms of the functionals against the surface measure, 1/sqrt(mass)."""
-        out = np.empty(self.K)
-        for i, (c, w) in enumerate(zip(self.centers, self.widths)):
-            t = (c - w / 2.0 + np.linspace(0, 1, samples, endpoint=False) * w) % 1.0
-            mass = float(np.mean(curve.weight_t(t)) * w)
-            out[i] = 1.0 / np.sqrt(mass)
-        return out
+        c, w = self.centers[:, None], self.widths[:, None]
+        t = (c - w / 2.0 + np.linspace(0, 1, samples, endpoint=False) * w) % 1.0
+        return 1.0 / np.sqrt(np.mean(curve.weight_t(t), axis=1) * self.widths)
 
 
 def equispaced_observations(K: int, width: float, sigma2: float,
@@ -106,43 +98,43 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     least one fine-level cell so the quadrature resolves them.
     """
     idx = system.index_set(J)
-    L = J + 1
-    N = 2**L
+    L, N = J + 1, 2 ** (J + 1)
     if np.any(obs.widths < 2.0 ** (-L)):
         raise ValueError("observation width below one fine-level cell; "
                          "refine J or widen the functionals")
     phi, _ = system.scaling_values(dual=True, sweeps=oversample)
-    start = system.bank.lo_dual.start
     per = 2**oversample
     tau = 2.0 ** (-L) / per                      # quadrature step
-    rows, cols, vals = [], [], []
-    for i, (c, w) in enumerate(zip(obs.centers, obs.widths)):
-        n0 = int(round((c - w / 2.0) / tau))
-        n1 = int(round((c + w / 2.0) / tau))
-        nodes = np.arange(n0, n1 + 1)
-        wq = np.full(len(nodes), tau)
-        wq[0] = wq[-1] = tau / 2.0
-        if curve is not None:
-            mass = float(np.sum(wq * curve.weight_t(nodes * tau)))
-        else:
-            mass = (n1 - n0) * tau
-        # phi_{L,k}(t_n) = 2^{L/2} phi(n/per - k), tabulated index n - per*k
-        lo_idx = start * per
-        n_tab = len(phi)
-        for k in range((n0 - lo_idx - n_tab + per - 1) // per,
-                       (n1 - lo_idx) // per + 1):
-            jdx = nodes - per * k - lo_idx
-            ok = (jdx >= 0) & (jdx < n_tab)
-            if not np.any(ok):
-                continue
-            val = 2.0 ** (L / 2.0) * float(np.sum(wq[ok] * phi[jdx[ok]])) / mass
-            if abs(val) > 1e-14:
-                rows.append(i)
-                cols.append(k % N)
-                vals.append(val)
+    # phi_{L,k}(t_n) = 2^{L/2} phi(n/per - k), tabulated index n - per*k - lo
+    lo, n_tab = system.bank.lo_dual.start * per, len(phi)
+    n0 = np.rint((obs.centers - obs.widths / 2.0) / tau).astype(int)
+    n1 = np.rint((obs.centers + obs.widths / 2.0) / tau).astype(int)
+    box, nodes, box_at = _ranges(n0, n1 + 1)     # trapezoid nodes of each box
+
+    def weights(b, n):
+        return np.where((n == n0[b]) | (n == n1[b]), tau / 2.0, tau)
+
+    mass = ((n1 - n0) * tau if curve is None else
+            np.add.reduceat(weights(box, nodes) * curve.weight_t(nodes * tau), box_at))
+    # translates k whose tabulated support meets the box, then their shared nodes
+    pbox, k, _ = _ranges((n0 - lo - n_tab + per - 1) // per, (n1 - lo) // per + 1)
+    tpair, n, pair_at = _ranges(np.maximum(n0[pbox], per * k + lo),
+                                np.minimum(n1[pbox], per * k + lo + n_tab - 1) + 1)
+    sums = np.add.reduceat(weights(pbox[tpair], n) * phi[n - per * k[tpair] - lo], pair_at)
+    vals = 2.0 ** (L / 2.0) * sums / mass[pbox]
+    keep = np.abs(vals) > 1e-14
+    rows, cols, vals = pbox[keep], k[keep] % N, vals[keep]
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
     G = np.ascontiguousarray(system.fwt(G_single.T.toarray()).T)
     return ObservationMatrix(G_single=G_single, G=G, level=L)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """Owner ``i``, value and run starts of the concatenated ``arange(lo[i], hi[i])``."""
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(lo)), counts)
+    return owner, np.arange(counts.sum()) - starts[owner] + lo[owner], starts
 
 
 class FactoredGram:

@@ -11,6 +11,7 @@ taper pattern only.  Dense level roots are cached per covariance content.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,11 +101,12 @@ class GaussianCoefficientSource:
             del _ROOTS[next(iter(_ROOTS))]
         return root
 
-    def draw(self, j_res: int, count: int, stream_id: int) -> np.ndarray:
-        """(count, p(j_res)) i.i.d. coefficient vectors at resolution j_res."""
+    def draw(self, j_res: int, count: int, stream_id: int, cols=slice(None)) -> np.ndarray:
+        """Columns ``cols`` of (count, p(j_res)) i.i.d. coefficient vectors at
+        resolution j_res, equal to those of the full draw."""
         root = self._root(j_res)
         xi = rng.stream(self.seed, stream_id).standard_normal((count, root.shape[0]))
-        return xi @ root.T
+        return xi @ root.T[:, cols]
 
 
 class CsvSampleSource:
@@ -119,7 +121,7 @@ class CsvSampleSource:
                       for j, path in paths.items()}
         self._used = {j: 0 for j in self._data}
 
-    def draw(self, j_res: int, count: int, stream_id: int) -> np.ndarray:
+    def draw(self, j_res: int, count: int, stream_id: int, cols=slice(None)) -> np.ndarray:
         data = self._data.get(j_res)
         if data is None:
             raise KeyError(f"no sample file for resolution level {j_res}")
@@ -129,7 +131,7 @@ class CsvSampleSource:
                 f"sample source exhausted at level {j_res}: "
                 f"need {count}, have {len(data) - start} of {len(data)} left")
         self._used[j_res] = start + count
-        return data[start:start + count]
+        return data[start:start + count, cols]
 
 
 def write_sample_csv(path, level: int, samples: np.ndarray) -> None:
@@ -163,22 +165,22 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
         raise ValueError("schedule and pattern must share the level range")
     parts = []                          # (rows, cols, values) on the pattern
     block_counts = {}
-    stream_id = 1
+    streams = itertools.count(1)
     for a, j in enumerate(idx.levels):
         sj = idx.level_slice(j)
         for jp in idx.levels[a:]:
             sp = idx.level_slice(jp)
-            m = sched.block_count(j, jp)
-            block_counts[(j, jp)] = m
-            Z = source.draw(max(j, jp), m, stream_id)
-            stream_id += 1
-            blk = (Z[:, sj].T @ Z[:, sp]) / m
+            m = block_counts[(j, jp)] = sched.block_count(j, jp)
             if jp == j:
+                Z = source.draw(j, m, next(streams), sj)
+                blk = (Z.T @ Z) / m
                 blk = 0.5 * (blk + blk.T)
             else:
-                Z2 = source.draw(max(j, jp), m, stream_id)
-                stream_id += 1
-                blk = 0.5 * (blk + (Z2[:, sp].T @ Z2[:, sj]).T / m)
+                # only the columns of levels j and j' are drawn, those of j first
+                n, cols = sj.stop - sj.start, np.r_[sj, sp]
+                Z, Z2 = (source.draw(jp, m, next(streams), cols) for _ in range(2))
+                blk = (Z[:, :n].T @ Z[:, n:]) / m
+                blk = 0.5 * (blk + (Z2[:, n:].T @ Z2[:, :n]).T / m)
             r, c = pattern.block(j, jp)
             parts.append((r + sj.start, c + sp.start, blk[r, c]))
             if jp != j:

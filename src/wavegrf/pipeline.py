@@ -23,7 +23,7 @@ def default_wavelet_for(kernel_name: str) -> tuple[int, int]:
 
 
 #: dense single-scale matrices shared across wavelet families (they depend
-#: only on curve, kernel, dimension and quadrature order); bounded
+#: only on curve, kernel and dimension); bounded
 _single_scale = lru_cache(maxsize=16)(assembly.assemble_single_scale)
 
 
@@ -34,8 +34,7 @@ class CovarianceModel:
                  J: int | None = None, p: int | None = None,
                  curve: curves.CurveSpec | str = "paper-boundary",
                  ell: float = 1.0, a: float = 2.0, a_prime: float = 2.0,
-                 dprime: float | None = None, quad_order: int = 8,
-                 normalize_curve: bool = True):
+                 dprime: float | None = None, normalize_curve: bool = True):
         self.kernel = (kernel if isinstance(kernel, kernels.KernelSpec)
                        else kernels.kernel_from_name(kernel, ell=ell))
         d, dt = wavelet if wavelet is not None else default_wavelet_for(self.kernel.name)
@@ -49,12 +48,11 @@ class CovarianceModel:
         self.order = kernels.operator_order(self.kernel)
         self.params = compression.CompressionParams(
             d=d, dt=dt, r=self.order.r, a=a, a_prime=a_prime, dprime=dprime)
-        self.quad_order = quad_order
 
     # -- matrices ----------------------------------------------------------
     @cached_property
     def single_scale(self) -> np.ndarray:
-        return _single_scale(self.curve, self.kernel, self.idx.J, q=self.quad_order)
+        return _single_scale(self.curve, self.kernel, self.idx.J)
 
     @cached_property
     def wavelet_dense(self) -> np.ndarray:

@@ -105,17 +105,18 @@ def test_far_field_entry_smallness_and_level_scaling():
 
 
 def _einsum_reference(curve, kernel, J, q=8):
-    """Full-grid assembly: every cell pair through a 3-operand einsum."""
+    """Full-grid assembly: every cell pair at order q through a 3-operand einsum."""
     inter = assembly.CellInteractions(curve, kernel, J + 1, q=q)
+    pts, uwb = inter.panel(q)
     N = inter.N
     A = np.zeros((N, N))
     cols = np.arange(N)
     for rows in np.array_split(cols, max(1, N // 32)):
-        d = inter.pts[rows][:, :, None, None, :] - inter.pts[None, None, :, :, :]
-        K = inter.kern(np.sqrt(np.sum(d * d, axis=-1)))            # (m, q, N, q)
+        d = pts[rows][:, :, None, None, :] - pts[None, None, :, :, :]
+        K = inter.kern(np.sqrt(np.einsum("maDbx,maDbx->maDb", d, d)))  # (m, q, N, q)
         own = np.nonzero((cols[None, :] - rows[:, None]) % N == 0)
         K[own[0], :, own[1], :] = 0.0
-        blk = np.einsum("maDb,mai,Dbj->mDij", K, inter.uwb[rows], inter.uwb)
+        blk = np.einsum("maDb,mai,Dbj->mDij", K, uwb[rows], uwb, optimize=True)
         for i in (0, 1):
             for j in (0, 1):
                 A[np.ix_((rows + i) % N, (cols + j) % N)] += blk[:, :, i, j]
@@ -127,20 +128,58 @@ def _einsum_reference(curve, kernel, J, q=8):
 
 
 @pytest.mark.parametrize("nu,ell,p", [(nu, ell, p) for nu in (0.5, 1.5, 2.5)
-                                      for ell in (0.05, 1.0) for p in (16, 64, 256)]
-                         + [(0.5, 1.0, 512)])
+                                      for ell in (0.05, 1.0)
+                                      for p in (16, 64, 256, 512, 1024)])
 def test_single_scale_matches_einsum_reference(nu, ell, p):
-    """The upper-triangle Phi^T K Phi assembly equals the full-grid einsum
-    assembly up to summation order, and is exactly symmetric.  Up to
-    p = 256 one row chunk covers all cells; p = 512 takes four, the last
-    one wrapping onto hat 0."""
-    curve = curves.normalize_to_unit_diameter(curves.paper_boundary())
+    """The upper-triangle Phi^T K Phi assembly, with its lower far-field
+    order, equals the full-grid order-8 einsum assembly to 1e-13 of the
+    largest entry, on the paper boundary and the unit circle, and is exactly
+    symmetric.  p = 16 keeps order 8 for ell = 0.05; from p = 64 on the
+    16-cell row chunks split the cells, the last one wrapping onto hat 0."""
     kern = kernels.KernelSpec(nu, ell)
     J = int(np.log2(p)) - 1
-    A = assemble_single_scale(curve, kern, J)
-    ref = _einsum_reference(curve, kern, J)
-    assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.array_equal(A, A.T)
+    for curve in (curves.paper_boundary(), curves.circle(1.0)):
+        curve = curves.normalize_to_unit_diameter(curve)
+        A = assemble_single_scale(curve, kern, J)
+        ref = _einsum_reference(curve, kern, J)
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(A, A.T)
+
+
+class CountingKernel:
+    """Matern kernel that counts the distances it is evaluated at."""
+
+    def __init__(self, nu, ell):
+        self.spec = kernels.KernelSpec(nu, ell)
+        self.evaluations = 0
+
+    def __call__(self, z):
+        self.evaluations += np.size(z)
+        return self.spec(z)
+
+
+def test_kernel_evaluations_cut_threefold():
+    """At p = 512 every kernel evaluation of an assembly (probe and self
+    blocks included) is counted against the order-8 count of the pair loop
+    it replaced: sum over chunks of chunk * (N - s) * q^2 cell-pair points,
+    with chunk = 2^22 / (N q^2) cells."""
+    curve = curves.normalize_to_unit_diameter(curves.paper_boundary())
+    kern = CountingKernel(0.5, 1.0)
+    A = assemble_single_scale(curve, kern, 8)
+    N, q = 512, 8
+    chunk = (1 << 22) // (N * q * q)
+    before = sum(chunk * (N - s) * q * q for s in range(0, N, chunk))
+    assert 3 * kern.evaluations <= before
+    assert np.array_equal(A, assemble_single_scale(curve, kern.spec, 8))
+
+
+def test_far_order_follows_cell_size_against_ell():
+    """A smoother kernel at a shorter correlation length needs a higher
+    plain-panel order than matern12 at ell = 1; neither needs order 8."""
+    curve = curves.normalize_to_unit_diameter(curves.paper_boundary())
+    def order(nu, ell):
+        return assembly.CellInteractions(curve, kernels.KernelSpec(nu, ell), 9).far_order()
+    assert order(0.5, 1.0) < order(2.5, 0.05) < 8
 
 
 def test_assembly_rejects_bad_level(unit_circle):

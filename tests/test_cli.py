@@ -115,6 +115,21 @@ def test_mlmc_rejects_zero_runs(tmp_path, capsys, cfg):
     assert not (out / "mlmc_errors.csv").exists()
 
 
+def test_mlmc_rejects_empty_p_list(tmp_path, capsys):
+    rc, out = run(tmp_path, "mlmc", {"p_list": [], "runs": 1}, seed=2)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (out / "mlmc_errors.csv").exists()
+
+
+@pytest.mark.parametrize("K_obs", [0, -3])
+def test_krige_rejects_nonpositive_observation_count(tmp_path, capsys, K_obs):
+    rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": K_obs}, seed=2)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (out / "krige_predictions.csv").exists()
+
+
 def test_krige_command_and_observation_file(tmp_path):
     cfg = {"p": 64, "K_obs": 8, "sigma2": 1e-2, "K": 20,
            "targets": [0.0, 0.25, 0.5], "dump_factors": True}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from wavegrf import kriging, sampling
 from wavegrf.kriging import (FactoredGram, ObservationSet,
@@ -50,6 +51,59 @@ def test_observation_matrix_structure(model):
     coarse = m.idx.level_slice(m.idx.j0)
     assert np.abs(row[coarse]).max() > 0.1
     assert np.abs(row[coarse.stop:]).max() <= 1e-10 * np.abs(row[coarse]).max()
+
+
+def _loop_single_scale_rows(system, obs, J, curve, oversample=6):
+    """Per-observation, per-translate loop for ``G_single``: the reference
+    for the vectorized construction."""
+    L = J + 1
+    N = 2**L
+    phi, _ = system.scaling_values(dual=True, sweeps=oversample)
+    per = 2**oversample
+    tau = 2.0 ** (-L) / per
+    lo_idx, n_tab = system.bank.lo_dual.start * per, len(phi)
+    rows, cols, vals = [], [], []
+    for i, (c, w) in enumerate(zip(obs.centers, obs.widths)):
+        n0 = int(round((c - w / 2.0) / tau))
+        n1 = int(round((c + w / 2.0) / tau))
+        nodes = np.arange(n0, n1 + 1)
+        wq = np.full(len(nodes), tau)
+        wq[0] = wq[-1] = tau / 2.0
+        if curve is not None:
+            mass = float(np.sum(wq * curve.weight_t(nodes * tau)))
+        else:
+            mass = (n1 - n0) * tau
+        for k in range((n0 - lo_idx - n_tab + per - 1) // per,
+                       (n1 - lo_idx) // per + 1):
+            jdx = nodes - per * k - lo_idx
+            ok = (jdx >= 0) & (jdx < n_tab)
+            if not np.any(ok):
+                continue
+            val = 2.0 ** (L / 2.0) * float(np.sum(wq[ok] * phi[jdx[ok]])) / mass
+            if abs(val) > 1e-14:
+                rows.append(i)
+                cols.append(k % N)
+                vals.append(val)
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
+
+
+@pytest.mark.parametrize("fam,p", [((2, 6), 512), ((2, 8), 256), ((2, 10), 64)])
+def test_observation_matrix_matches_loop_reference(model, fam, p):
+    m = model({6: "matern12", 8: "matern32", 10: "matern52"}[fam[1]], *fam, p)
+    K = min(256, p // 2)
+    sets = [equispaced_observations(K, min(4.0 / p, 0.5 / K), 1e-2),
+            equispaced_observations(8, 0.05, 1e-2),
+            ObservationSet(centers=np.array([0.5]), widths=np.array([1.0]), sigma2=1.0),
+            # a box across t = 0 and one a few cells wide
+            ObservationSet(centers=np.array([0.999, 0.3]),
+                           widths=np.array([0.03, 5.0 / p]), sigma2=1.0)]
+    for obs in sets:
+        for curve in (m.curve, None):
+            got = build_observation_matrix(m.system, obs, m.idx.J, curve).G_single
+            want = _loop_single_scale_rows(m.system, obs, m.idx.J, curve)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_width_resolution_guard(model):

@@ -52,14 +52,16 @@ class ConstantSource:
         self.v = np.asarray(v)
         self.idx = idx
 
-    def draw(self, j_res, count, stream_id):
+    def draw(self, j_res, count, stream_id, cols=slice(None)):
         p = self.idx.truncate(j_res).p
-        return np.tile(self.v[:p], (count, 1))
+        return np.tile(self.v[:p][cols], (count, 1))
 
 
 def dense_reference_estimate(pattern, sched, source):
     """The estimator built in a dense (p, p) accumulator, masked blockwise and
-    converted to sparse at the end: the reference for the pattern-only one."""
+    converted to sparse at the end: the reference for the pattern-only one.
+    It draws every column of each sample, so agreement also shows that the
+    estimator's column-restricted draws change no kept entry."""
     idx = pattern.idx
     est = np.zeros((idx.p, idx.p))
     levels = list(idx.levels)
@@ -201,6 +203,19 @@ def test_error_report_rejects_nonsymmetric_truth(model):
         error_report(est, truth, m.idx)
 
 
+def test_column_restricted_draw_is_bit_identical_to_full_draw(model):
+    m = model("matern12", 2, 6, 512)
+    C = m.tapered.to_dense()
+    J = m.idx.J
+    cols = np.r_[m.idx.level_slice(J - 2), m.idx.level_slice(J)]
+    for seed in range(8):
+        src = GaussianCoefficientSource(C, m.idx, seed)
+        full = src.draw(J, 20, 3)
+        assert np.array_equal(src.draw(J, 20, 3, cols), full[:, cols])
+        assert np.array_equal(src.draw(J, 20, 3, m.idx.level_slice(J)),
+                              full[:, m.idx.level_slice(J)])
+
+
 def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     monkeypatch.setattr(mlmc, "_ROOTS", {})
     m = model("matern12", 2, 6, 64)
@@ -261,8 +276,9 @@ def test_csv_source_roundtrip_and_exhaustion(tmp_path, model):
     src = CsvSampleSource(files)
     out = src.draw(3, 5, 0)
     assert out.shape == (5, 16)
-    out2 = src.draw(3, 3, 1)
-    assert out2.shape == (3, 16)
+    cols = np.r_[0:4, 8:16]
+    out2 = src.draw(3, 3, 1, cols)
+    assert np.array_equal(out2, data[5:8, cols])
     with pytest.raises(RuntimeError, match="exhausted"):
         src.draw(3, 1, 2)
     with pytest.raises(KeyError):
