@@ -22,6 +22,12 @@ from .quadrature import gauss_rule
 from .wavelets import WaveletSystem
 
 
+def _kernel_callable(kernel):
+    if callable(kernel):
+        return kernel
+    raise TypeError("kernel must be callable (KernelSpec or function of distance)")
+
+
 class CellInteractions:
     """Cell quadrature data for hat functions at one level.
 
@@ -37,9 +43,8 @@ class CellInteractions:
     """
 
     def __init__(self, curve: CurveSpec, kernel, level: int, q: int = 8):
-        if not callable(kernel):
-            raise TypeError("kernel must be callable (KernelSpec or function of distance)")
-        self.curve, self.kern = curve, kernel
+        self.curve = curve
+        self.kern = _kernel_callable(kernel)
         self.N = 2**level
         self.h = 1.0 / self.N
         self.q = q
@@ -53,24 +58,47 @@ class CellInteractions:
         basis = np.stack([1.0 - x, x], axis=1) * self.norm          # (m, 2)
         return self.curve.xy_t(t), uw[:, :, None] * basis[None, :, :]
 
-    def pair_blocks(self, m: int, seps) -> np.ndarray:
-        """(len(seps), N, 2, 2) blocks of the pairs (c, c + sep) at order m."""
+    def pair_blocks(self, m: int, partners: np.ndarray) -> np.ndarray:
+        """(S, N, 2, 2) blocks of the cell pairs (c, partners[s, c]) at order m."""
         pts, uwb = self.panel(m)
-        nxt = (np.arange(self.N) + np.asarray(seps)[:, None]) % self.N   # (S, N)
-        d = pts[None, :, :, None, :] - pts[nxt][:, :, None, :, :]
+        d = pts[None, :, :, None, :] - pts[partners][:, :, None, :, :]
         K = self.kern(np.sqrt(np.sum(d * d, axis=-1)))                    # (S, N, m, m)
-        return np.einsum("scab,cai,scbj->scij", K, uwb, uwb[nxt])
+        return np.einsum("scab,cai,scbj->scij", K, uwb, uwb[partners])
 
-    def far_order(self, rtol: float = 1e-14) -> int:
-        """Lowest plain-panel order that matches order ``q`` to ``rtol`` of the
-        largest entry on all adjacent pairs (the Gauss error is largest there
-        or nearly so) and all pairs N/4 cells apart (for kernels whose error
-        is flat in the separation); every non-self integrand is analytic."""
-        seps = sorted({1, max(1, self.N // 4)})
-        ref = self.pair_blocks(self.q, seps)
-        tol = rtol * np.abs(ref).max()
+    def folded_partners(self) -> np.ndarray:
+        """For each cell c, the cell c + s (2 <= s <= N/2) nearest to it in
+        space relative to s: across a narrow neck, the cell on the other side.
+        O(N^2) distances between cell centres, in blocks of about 2^18."""
+        N, cells = self.N, np.arange(self.N)
+        x, y = np.tile(self.curve.xy_t((cells + 0.5) * self.h).T, 2)   # centres, twice round
+        win = np.lib.stride_tricks.sliding_window_view
+        hi, step = max(2, N // 2) + 1, max(1, (1 << 18) // N)
+        best, out = np.full(N, np.inf), cells.copy()
+        for s0 in range(2, hi, step):
+            s1 = min(s0 + step, hi)
+            d2 = (win(x, N)[s0:s1] - x[:N]) ** 2                      # (s1 - s0, N)
+            d2 += (win(y, N)[s0:s1] - y[:N]) ** 2
+            d2 /= np.arange(s0, s1)[:, None] ** 2
+            k = d2.argmin(axis=0)
+            r2 = d2[k, cells]
+            closer = r2 < best
+            best[closer], out[closer] = r2[closer], (cells + s0 + k)[closer] % N
+        return out
+
+    def far_order(self) -> int:
+        """Lowest plain-panel order that matches order ``q`` to 1e-14 of the
+        largest entry on a probe of three pairs per cell: the adjacent one
+        (the Gauss error is largest there or nearly so on a smooth arc), the
+        one N/4 cells on (for kernels whose error is flat in the separation)
+        and the folded one (``folded_partners``).  Every non-self integrand
+        is analytic."""
+        cells = np.arange(self.N)
+        partners = np.stack([(cells + 1) % self.N, (cells + max(1, self.N // 4)) % self.N,
+                             self.folded_partners()])
+        ref = self.pair_blocks(self.q, partners)
+        tol = 1e-14 * np.abs(ref).max()
         for m in range(1, self.q):
-            if np.abs(self.pair_blocks(m, seps) - ref).max() <= tol:
+            if np.abs(self.pair_blocks(m, partners) - ref).max() <= tol:
                 return m
         return self.q
 
@@ -153,5 +181,7 @@ def to_wavelet_coordinates(system: WaveletSystem, A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    C = system.fwt_dual(system.fwt_dual(A).T)       # T^T applied to columns, then rows
-    return 0.5 * (C + C.T)
+    B = system.fwt_dual(A)            # T^T applied to columns
+    C = system.fwt_dual(B.T)
+    C = 0.5 * (C + C.T)
+    return C

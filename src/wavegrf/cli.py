@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, kriging, mlmc, rng, sampling
+from . import __version__, io, kriging, mlmc, sampling
 from .compression import aposteriori_threshold, sparsity_report
 from .filters import SUPPORTED_PAIRS, build_filter_bank
 from .kernels import KERNEL_NAMES
-from .linalg import SpectralBounds, condition_number
+from .linalg import condition_number
 from .pipeline import CovarianceModel, default_wavelet_for
 from .sampling import build_contour, synthesize_field
 
@@ -82,10 +82,12 @@ def cmd_tables(cfg) -> None:
     kernel = cfg.get("kernel", "matern12")
     if kernel not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {kernel!r}")
-    families = [tuple(f) for f in cfg.get("families", _DEFAULT_FAMILIES[kernel])]
+    families = [tuple(f) for f in cfg.get("families", _default_families(kernel))]
     p_list = cfg.get("p_list", [32, 64, 128, 256, 512, 1024])
-    rows = {"p": [], "level": [], "single_scale_cond": []} | {
-        f"{col}_{d}{dt}": [] for d, dt in families for col in ("nnz_pct", "cond")}
+    rows = {"p": [], "level": [], "single_scale_cond": []}
+    for d, dt in families:
+        rows[f"nnz_pct_{d}{dt}"] = []
+        rows[f"cond_{d}{dt}"] = []
     meta = io.standard_meta(cfg)
     for p in p_list:
         first = _model(cfg, wavelet=families[0], p=p)
@@ -101,9 +103,10 @@ def cmd_tables(cfg) -> None:
     io.write_csv(_outdir(cfg) / f"tables_{kernel}.csv", rows, meta)
 
 
-#: wavelet families compared by ``tables``, per kernel
-_DEFAULT_FAMILIES = {"matern12": [(2, 4), (2, 6), (2, 8)],
-                     "matern32": [(2, 6), (2, 8), (2, 10)], "matern52": [(2, 10)]}
+def _default_families(kernel: str):
+    return {"matern12": [(2, 4), (2, 6), (2, 8)],
+            "matern32": [(2, 6), (2, 8), (2, 10)],
+            "matern52": [(2, 10)]}[kernel]
 
 
 def cmd_decay(cfg) -> None:
@@ -162,6 +165,7 @@ def cmd_sqrt_bench(cfg) -> None:
                 "over": (ev[0] / 2.0, ev[-1]),       # condition overestimated 2x
                 "under": (ev[0] * 2.0, ev[-1])}      # condition underestimated 2x
     rows = {"K": list(Ks)}
+    from .linalg import SpectralBounds
     for name, (lo, hi) in variants.items():
         errs = []
         for K in Ks:
@@ -259,7 +263,8 @@ def cmd_krige(cfg) -> None:
         bounds = m.spectral_bounds()
         contour = build_contour(bounds, int(cfg.get("K", 40)))
         z = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour).draw(seed)
-        noise = rng.standard_normal(seed, 10**6, obs.K) * np.sqrt(sigma2)
+        from . import rng as _rng
+        noise = _rng.standard_normal(seed, 10**6, obs.K) * np.sqrt(sigma2)
         y = om.G @ z.coefficients + noise
     mu, res = kriging.posterior_mean(m.tapered, om, m.system, y, sigma2,
                                      cg_tol=float(cfg.get("cg_tol", 1e-10)))
@@ -314,11 +319,15 @@ def cmd_filters_dump(cfg) -> None:
     """Filter masks as exact rationals, one CSV per supported family."""
     out = _outdir(cfg)
     for d, dt in SUPPORTED_PAIRS:
-        names, ks, fracs = zip(*build_filter_bank(d, dt).rational_table())
-        rows = {"mask": names, "index": ks,
-                "numerator": [f.numerator for f in fracs],
-                "denominator": [f.denominator for f in fracs],
-                "value": [float(f) for f in fracs]}
+        fb = build_filter_bank(d, dt)
+        rows = {"mask": [], "index": [], "numerator": [], "denominator": [],
+                "value": []}
+        for name, k, frac in fb.rational_table():
+            rows["mask"].append(name)
+            rows["index"].append(k)
+            rows["numerator"].append(frac.numerator)
+            rows["denominator"].append(frac.denominator)
+            rows["value"].append(float(frac))
         io.write_csv(out / f"filters_{d}_{dt}.csv", rows, io.standard_meta(cfg))
 
 

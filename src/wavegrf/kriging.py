@@ -52,9 +52,14 @@ class ObservationSet:
         if len(c) > 1:
             order = np.argsort((c - w / 2.0) % 1.0)
             starts = ((c - w / 2.0) % 1.0)[order]
-            # room up to the next start; the last box wraps round to the first
-            if np.any(w[order] > np.diff(starts, append=starts[0] + 1.0) + 1e-12):
-                raise ValueError("observation supports overlap")
+            widths = w[order]
+            for i in range(len(c)):
+                nxt = (i + 1) % len(c)
+                room = (starts[nxt] - starts[i]) % 1.0
+                if nxt == 0:
+                    room = 1.0 - ((starts[i] - starts[0]) % 1.0)
+                if widths[i] > room + 1e-12:
+                    raise ValueError("observation supports overlap")
 
     @property
     def K(self) -> int:
@@ -62,9 +67,12 @@ class ObservationSet:
 
     def norms(self, curve: CurveSpec, samples: int = 256) -> np.ndarray:
         """L2 norms of the functionals against the surface measure, 1/sqrt(mass)."""
-        c, w = self.centers[:, None], self.widths[:, None]
-        t = (c - w / 2.0 + np.linspace(0, 1, samples, endpoint=False) * w) % 1.0
-        return 1.0 / np.sqrt(np.mean(curve.weight_t(t), axis=1) * self.widths)
+        out = np.empty(self.K)
+        for i, (c, w) in enumerate(zip(self.centers, self.widths)):
+            t = (c - w / 2.0 + np.linspace(0, 1, samples, endpoint=False) * w) % 1.0
+            mass = float(np.mean(curve.weight_t(t)) * w)
+            out[i] = 1.0 / np.sqrt(mass)
+        return out
 
 
 def equispaced_observations(K: int, width: float, sigma2: float,
@@ -98,7 +106,8 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     least one fine-level cell so the quadrature resolves them.
     """
     idx = system.index_set(J)
-    L, N = J + 1, 2 ** (J + 1)
+    L = J + 1
+    N = 2**L
     if np.any(obs.widths < 2.0 ** (-L)):
         raise ValueError("observation width below one fine-level cell; "
                          "refine J or widen the functionals")

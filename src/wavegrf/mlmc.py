@@ -11,7 +11,6 @@ taper pattern only.  Dense level roots are cached per covariance content.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,20 +164,24 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
         raise ValueError("schedule and pattern must share the level range")
     parts = []                          # (rows, cols, values) on the pattern
     block_counts = {}
-    streams = itertools.count(1)
+    stream_id = 1
     for a, j in enumerate(idx.levels):
         sj = idx.level_slice(j)
         for jp in idx.levels[a:]:
             sp = idx.level_slice(jp)
-            m = block_counts[(j, jp)] = sched.block_count(j, jp)
+            m = sched.block_count(j, jp)
+            block_counts[(j, jp)] = m
             if jp == j:
-                Z = source.draw(j, m, next(streams), sj)
+                Z = source.draw(j, m, stream_id, sj)
+                stream_id += 1
                 blk = (Z.T @ Z) / m
                 blk = 0.5 * (blk + blk.T)
             else:
                 # only the columns of levels j and j' are drawn, those of j first
                 n, cols = sj.stop - sj.start, np.r_[sj, sp]
-                Z, Z2 = (source.draw(jp, m, next(streams), cols) for _ in range(2))
+                Z = source.draw(jp, m, stream_id, cols)
+                Z2 = source.draw(jp, m, stream_id + 1, cols)
+                stream_id += 2
                 blk = (Z[:, :n].T @ Z[:, n:]) / m
                 blk = 0.5 * (blk + (Z2[:, n:].T @ Z2[:, :n]).T / m)
             r, c = pattern.block(j, jp)

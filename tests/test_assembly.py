@@ -104,6 +104,12 @@ def test_far_field_entry_smallness_and_level_scaling():
         assert maxima[J + 1] / maxima[J] <= 4.0 * 2.0 ** (-(2 * dt + 1))
 
 
+#: r(phi) = 1 + 0.9 cos(2 phi): the neck is 0.1 / 1.9 of the length, and the
+#: two sides of the neck are half the curve apart in parameter
+PEANUT = curves.CurveSpec(kind="fourier", cos_coeffs=(1, 0, 90, 0, 0, 0),
+                          sin_coeffs=(0, 0, 0, 0, 0))
+
+
 def _einsum_reference(curve, kernel, J, q=8):
     """Full-grid assembly: every cell pair at order q through a 3-operand einsum."""
     inter = assembly.CellInteractions(curve, kernel, J + 1, q=q)
@@ -133,12 +139,13 @@ def _einsum_reference(curve, kernel, J, q=8):
 def test_single_scale_matches_einsum_reference(nu, ell, p):
     """The upper-triangle Phi^T K Phi assembly, with its lower far-field
     order, equals the full-grid order-8 einsum assembly to 1e-13 of the
-    largest entry, on the paper boundary and the unit circle, and is exactly
-    symmetric.  p = 16 keeps order 8 for ell = 0.05; from p = 64 on the
-    16-cell row chunks split the cells, the last one wrapping onto hat 0."""
+    largest entry, on the paper boundary, the unit circle and a peanut with
+    a narrow neck, and is exactly symmetric.  p = 16 keeps order 8 for
+    ell = 0.05; from p = 64 on the 16-cell row chunks split the cells, the
+    last one wrapping onto hat 0."""
     kern = kernels.KernelSpec(nu, ell)
     J = int(np.log2(p)) - 1
-    for curve in (curves.paper_boundary(), curves.circle(1.0)):
+    for curve in (curves.paper_boundary(), curves.circle(1.0), PEANUT):
         curve = curves.normalize_to_unit_diameter(curve)
         A = assemble_single_scale(curve, kern, J)
         ref = _einsum_reference(curve, kern, J)
@@ -180,6 +187,16 @@ def test_far_order_follows_cell_size_against_ell():
     def order(nu, ell):
         return assembly.CellInteractions(curve, kernels.KernelSpec(nu, ell), 9).far_order()
     assert order(0.5, 1.0) < order(2.5, 0.05) < 8
+
+
+def test_far_order_probe_pairs_across_a_neck():
+    """The folded probe pair of a cell at the neck is the cell on the other
+    side (half the curve on); on a circle it is the opposite cell."""
+    kern = kernels.KernelSpec(0.5, 1.0)
+    for curve in (PEANUT, curves.circle(1.0)):
+        inter = assembly.CellInteractions(curves.normalize_to_unit_diameter(curve), kern, 8)
+        neck = np.array([63, 64, 191, 192])             # cells at t = 1/4 and 3/4
+        assert np.all(np.abs((inter.folded_partners()[neck] - neck) % 256 - 128) <= 1)
 
 
 def test_assembly_rejects_bad_level(unit_circle):
