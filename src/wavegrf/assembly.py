@@ -54,9 +54,10 @@ class CellInteractions:
         """Order-``m`` plain-panel points (N, m, 2) and weighted hats (N, m, 2)."""
         x, w = gauss_rule(m)
         t = (np.arange(self.N)[:, None] + x[None, :]) * self.h
-        uw = self.curve.weight_t(t) * (w[None, :] * self.h)        # weight * quad wt
+        pts, uw = self.curve.xy_weight_t(t)
+        uw *= w[None, :] * self.h                                   # weight * quad wt
         basis = np.stack([1.0 - x, x], axis=1) * self.norm          # (m, 2)
-        return self.curve.xy_t(t), uw[:, :, None] * basis[None, :, :]
+        return pts, uw[:, :, None] * basis[None, :, :]
 
     def pair_blocks(self, m: int, partners: np.ndarray) -> np.ndarray:
         """(S, N, 2, 2) blocks of the cell pairs (c, partners[s, c]) at order m."""
@@ -114,17 +115,17 @@ class CellInteractions:
         x, w = gauss_rule(self.q)
         cells = np.arange(self.N)
         ts = (cells[:, None] + x[None, :]) * self.h     # s in [0, 1]
-        ps = self.curve.xy_t(ts)                         # (N, q, 2)
-        us = self.curve.weight_t(ts) * (w[None, :] * self.h)                # (N, q)
+        ps, us = self.curve.xy_weight_t(ts)                                 # (N, q, 2)
+        us *= w[None, :] * self.h                                           # (N, q)
         bs = np.stack([1.0 - x, x], axis=1) * self.norm                     # (q, 2)
         acc = np.zeros((self.N, 2, 2))
         # t in [s, 1] (upper) and in [0, s] (lower) at (a, b), with Jacobian jac[a]
         for xt, jac in ((x[:, None] + (1.0 - x[:, None]) * x[None, :], 1.0 - x),
                         (x[:, None] * x[None, :], x)):
             tt = (cells[:, None, None] + xt[None, :, :]) * self.h
-            d = ps[:, :, None, :] - self.curve.xy_t(tt)  # (N, q, q, 2)
-            K = self.kern(np.sqrt(np.sum(d * d, axis=-1)))
-            ut = self.curve.weight_t(tt) * ((w[None, :] * jac[:, None]) * self.h)  # (N, q, q)
+            pt, ut = self.curve.xy_weight_t(tt)                              # (N, q, q, 2)
+            K = self.kern(np.sqrt(np.sum((ps[:, :, None, :] - pt) ** 2, axis=-1)))
+            ut *= (w[None, :] * jac[:, None]) * self.h                      # (N, q, q)
             bt = np.stack([1.0 - xt, xt], axis=-1) * self.norm              # (q, q, 2)
             acc += np.einsum("mab,ma,mab,ai,abj->mij", K, us, ut, bs, bt)
         return acc

@@ -45,8 +45,13 @@ class CurveSpec:
         # tuples keep the spec hashable (it keys the normalization cache)
         object.__setattr__(self, "cos_coeffs", tuple(self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(self.sin_coeffs))
+        v = np.array([self.radius, self.scale, *self.cos_coeffs, *self.sin_coeffs])
+        if v.dtype.kind not in "biuf" or not np.isfinite(v).all():
+            raise ValueError("curve radius, scale and coefficients must be finite numbers")
         if self.kind not in ("circle", "fourier"):
             raise ValueError(f"unknown curve kind {self.kind!r}")
+        if self.kind == "fourier" and not 0 < len(self.cos_coeffs) == len(self.sin_coeffs) + 1:
+            raise ValueError("a fourier curve needs cos_coeffs (a0, ..., an) and n sin_coeffs")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.kind == "circle" and self.radius <= 0:
@@ -99,6 +104,13 @@ class CurveSpec:
     def weight_t(self, t):
         return TWO_PI * self.speed(TWO_PI * np.asarray(t, dtype=float))
 
+    def xy_weight_t(self, t):
+        """``(xy_t(t), weight_t(t))`` from one radius and one derivative evaluation."""
+        phi = TWO_PI * np.asarray(t, dtype=float)
+        g, dg = self.radius_at(phi), self.radius_deriv(phi)
+        return ((self.scale * g)[..., None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1),
+                TWO_PI * (self.scale * np.sqrt(g * g + dg * dg)))
+
 
 def distance(curve: CurveSpec, phi1, phi2):
     """Chordal (ambient Euclidean) distance between curve points."""
@@ -126,31 +138,53 @@ def _golden_max(f, lo, hi, tol=1e-12, iters=200):
     return 0.5 * (a + b)
 
 
+def _farthest_grid_pair(x, y) -> tuple[int, int, float]:
+    """The pair ``i <= j`` of largest ``(x_i - x_j)**2 + (y_i - y_j)**2``,
+    lexicographically first among exact ties; see ``diameter``."""
+    k = np.arange(len(x))
+    while True:
+        p, n = np.roll(k, 1), np.roll(k, -1)
+        left = (x[k] - x[p]) * (y[n] - y[k]) - (y[k] - y[p]) * (x[n] - x[k]) > 0
+        if left.all():
+            break
+        k = k[left]
+    # vertex m supports the outward normals th[m-1]..th[m] of its two edges
+    th = np.unwrap(np.arctan2(x[k] - x[np.roll(k, -1)], y[np.roll(k, -1)] - y[k]))
+    ext = np.concatenate([th, th + TWO_PI])
+    lo = np.searchsorted(ext, np.append(th[-1] - TWO_PI, th[:-1]) + np.pi) - 1
+    cnt = np.searchsorted(ext, th + np.pi, side="right") + 2 - lo
+    a = k[np.repeat(np.arange(len(k)), cnt)]
+    b = k[(np.repeat(lo + cnt - np.cumsum(cnt), cnt) + np.arange(cnt.sum())) % len(k)]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    d2 = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2
+    tie = np.flatnonzero(d2 == d2.max())
+    t = tie[np.lexsort((j[tie], i[tie]))[0]]
+    return int(i[t]), int(j[t]), float(d2[t])
+
+
 def diameter(curve: CurveSpec, grid: int = 4096, rtol: float = 1e-10) -> float:
-    """Max chordal distance: a grid search on squared distances over the
-    upper triangle j >= i (in row blocks), then 1-D golden-section refinement."""
+    """Max chordal distance: the farthest pair of ``grid`` equispaced points,
+    refined by coordinate-wise golden-section search.
+
+    That pair is antipodal on the hull (Shamos).  Star-shaped curve points come
+    in angular order, so passes dropping each vertex not turning strictly left
+    leave the hull; each hull vertex meets the cyclic range of vertices whose
+    normal cones hold the opposite of its own, with one of margin per side:
+    about 4 pairs per vertex.  O(grid) memory, and O(grid) work per hull pass
+    (one pass if the curve is convex).  Exact ties keep the first ``i <= j``
+    in lexicographic order, as a row-order upper-triangle scan does.
+    """
     phi = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    x, y = curve.xy(phi).T
-    best = 0.0
-    bi = bj = 0
-    chunk = 512
-    for s in range(0, grid, chunk):
-        d2 = (x[s:s + chunk, None] - x[None, s:]) ** 2 + (y[s:s + chunk, None] - y[None, s:]) ** 2
-        k = int(np.argmax(d2))
-        i, j = divmod(k, grid - s)
-        if d2[i, j] > best:
-            best, bi, bj = float(d2[i, j]), s + i, s + j
+    bi, bj, best = _farthest_grid_pair(*curve.xy(phi).T)
     if best <= 0.0:
         raise ValueError("degenerate curve: zero diameter")
-    # coordinate-wise golden-section refinement around the best grid pair
-    h = TWO_PI / grid
-    p1, p2 = phi[bi], phi[bj]
+    h, p = TWO_PI / grid, [phi[bi], phi[bj]]
     for _ in range(4):
-        p1 = _golden_max(lambda a: float(distance(curve, a, p2)), p1 - h, p1 + h,
-                         tol=rtol * TWO_PI)
-        p2 = _golden_max(lambda b: float(distance(curve, p1, b)), p2 - h, p2 + h,
-                         tol=rtol * TWO_PI)
-    return float(distance(curve, p1, p2))
+        for e in (0, 1):         # move end e; the other end's point is fixed
+            q = curve.xy(p[1 - e])
+            p[e] = _golden_max(lambda a: float(np.sqrt(np.sum((curve.xy(a) - q) ** 2))),
+                               p[e] - h, p[e] + h, tol=rtol * TWO_PI)
+    return float(distance(curve, *p))
 
 
 @lru_cache(maxsize=32)
@@ -184,13 +218,10 @@ def from_config(obj) -> CurveSpec:
             return CURVE_PRESETS[obj]()
         except KeyError:
             raise ValueError(f"unknown curve preset {obj!r}") from None
-    kind = obj.get("kind", "circle")
-    if kind == "circle":
-        return circle(obj.get("radius", 1.0), obj.get("scale", 1.0))
-    return CurveSpec(kind="fourier",
-                     cos_coeffs=tuple(obj["cos_coeffs"]),
-                     sin_coeffs=tuple(obj["sin_coeffs"]),
-                     scale=obj.get("scale", 1.0))
+    try:
+        return CurveSpec(**{"kind": "circle", **obj})
+    except TypeError as e:          # not a mapping, unknown field, no sequence
+        raise ValueError(f"bad curve {obj!r}: {e}") from None
 
 
 def to_config(curve: CurveSpec) -> dict:

@@ -32,7 +32,7 @@ class CovarianceModel:
 
     def __init__(self, kernel="matern12", wavelet: tuple[int, int] | None = None,
                  J: int | None = None, p: int | None = None,
-                 curve: curves.CurveSpec | str = "paper-boundary",
+                 curve: curves.CurveSpec | str | dict = "paper-boundary",
                  ell: float = 1.0, a: float = 2.0, a_prime: float = 2.0,
                  dprime: float | None = None, normalize_curve: bool = True):
         self.kernel = (kernel if isinstance(kernel, kernels.KernelSpec)
@@ -43,7 +43,7 @@ class CovarianceModel:
             raise ValueError("give exactly one of J (finest level) or p (dimension)")
         self.idx = (self.system.index_set(J) if J is not None
                     else self.system.index_set_for_dim(p))
-        base = curves.from_config(curve) if isinstance(curve, str) else curve
+        base = curve if isinstance(curve, curves.CurveSpec) else curves.from_config(curve)
         self.curve = curves.normalize_to_unit_diameter(base) if normalize_curve else base
         self.order = kernels.operator_order(self.kernel)
         self.params = compression.CompressionParams(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wavegrf.cli import main
+from wavegrf.curves import circle, normalize_to_unit_diameter, to_config
 
 
 def run(tmp_path, cmd, cfg=None, seed=0, name="out"):
@@ -177,6 +178,31 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert err["error"] == "config"
     rc2, _ = run(tmp_path, "pattern", {"p": 48})
     assert rc2 == 2
+
+
+def test_curve_mapping_in_config(tmp_path):
+    rc, out = run(tmp_path, "pattern", {"p": 16, "curve": {"kind": "circle", "radius": 2.0}})
+    assert rc == 0
+    meta = json.loads((out / "pattern_meta.json").read_text())
+    assert meta["config"]["curve"] == {"kind": "circle", "radius": 2.0}
+    header = (out / "pattern_fingerprint.csv").read_text().splitlines()
+    model = json.loads(next(l for l in header if l.startswith("# model: "))[9:])
+    assert model["curve"] == to_config(normalize_to_unit_diameter(circle(2.0)))
+    assert model["curve"]["scale"] == pytest.approx(0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("curve", [
+    {"kind": "ellipse", "radius": 2.0},
+    {"kind": "fourier", "scale": 1.0},
+    {"kind": "fourier", "cos_coeffs": [50.0, 1.0], "sin_coeffs": [1.0, 2.0]},
+    {"kind": "circle", "radius": "two"},
+    {"kind": "fourier", "cos_coeffs": [50.0, None], "sin_coeffs": [1.0]},
+])
+def test_malformed_curve_mapping_exits_2(tmp_path, capsys, curve):
+    rc, out = run(tmp_path, "pattern", {"p": 16, "curve": curve})
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (out / "pattern.mtx").exists()
 
 
 def test_numerical_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,8 +116,14 @@ def test_config_roundtrip():
     again = curves.from_config(curves.to_config(b))
     assert again == b
     assert curves.from_config("paper-boundary").kind == "fourier"
-    with pytest.raises(ValueError):
-        curves.from_config("no-such-preset")
+    assert curves.from_config({"kind": "circle", "radius": 2}) == circle(2.0)
+    for bad in ("no-such-preset", 3, {"kind": "ellipse"}, {"kind": "fourier"},
+                {"kind": "fourier", "cos_coeffs": [50, 1, 2], "sin_coeffs": [1]},
+                {"kind": "fourier", "cos_coeffs": [50, "x"], "sin_coeffs": [1]},
+                {"kind": "fourier", "cos_coeffs": 50, "sin_coeffs": []},
+                {"radius": "2"}, {"radius": float("nan")}, {"radious": 2}):
+        with pytest.raises(ValueError):
+            curves.from_config(bad)
 
 
 def _full_grid_diameter(curve, grid=4096, rtol=1e-10):
@@ -143,6 +154,53 @@ def test_diameter_matches_full_grid_search():
     for c in (circle(1.0), circle(3.0), other):
         ref = _full_grid_diameter(c)
         assert abs(diameter(c) - ref) <= 4 * np.spacing(ref)
+
+
+def _dense_grid_pair(x, y):
+    """The former library scan: squared distances over the upper triangle
+    j >= i in row blocks; the first exact maximum in row order wins."""
+    grid, best, bi, bj = len(x), 0.0, 0, 0
+    for s in range(0, grid, 512):
+        d2 = (x[s:s + 512, None] - x[None, s:]) ** 2 + (y[s:s + 512, None] - y[None, s:]) ** 2
+        i, j = divmod(int(np.argmax(d2)), grid - s)
+        if d2[i, j] > best:
+            best, bi, bj = float(d2[i, j]), s + i, s + j
+    return bi, bj, best
+
+
+def _peanut(a2):
+    """r = 1 + (a2 / 100) cos 2 phi: a hull with fewer vertices than grid points."""
+    return CurveSpec(kind="fourier", cos_coeffs=(1, 0, a2, 0, 0, 0), sin_coeffs=(0,) * 5)
+
+
+#: curve -> diameter as the dense-scan implementation returned it (circles: exact ties)
+DIAMETERS = [
+    (paper_boundary(), 100.05220521130454),
+    (circle(1.0), 1.9999999999999998),
+    (circle(3.0), 6.0),
+    (CurveSpec(kind="fourier", cos_coeffs=(10.0, 3.0, -2.0, 1.0, 0.0, 0.5),
+               sin_coeffs=(1.0, 2.0, 0.0, -1.0, 0.0)), 20.07656931297109),
+    (_peanut(40), 2.7999999999999994),
+    (_peanut(85), 3.7),
+    (_peanut(90), 3.8000000000000003),
+]
+
+
+@pytest.mark.parametrize("curve,expected", DIAMETERS)
+def test_hull_search_matches_dense_grid_scan(curve, expected):
+    x, y = curve.xy(np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)).T
+    assert curves._farthest_grid_pair(x, y) == _dense_grid_pair(x, y)
+    assert diameter(curve) == expected
+
+
+def test_import_does_not_load_scipy_spatial():
+    """A library hull (scipy.spatial) would add about 0.2 s to every CLI start,
+    which the benchmark's set-up timer does not see."""
+    src = str(Path(curves.__file__).resolve().parents[1])
+    code = "import sys, wavegrf; print(sorted(m for m in sys.modules if 'scipy.spatial' in m))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_caches_bounded_and_normalization_memoized():
