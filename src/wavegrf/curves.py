@@ -74,15 +74,20 @@ class CurveSpec:
         return g
 
     def radius_deriv(self, phi):
+        return self.radius_and_deriv(phi)[1]
+
+    def radius_and_deriv(self, phi):
+        """``(radius_at(phi), radius_deriv(phi))``, each sin(k phi), cos(k phi) once."""
         phi = np.asarray(phi, dtype=float)
         if self.kind == "circle":
-            return np.zeros_like(phi)
-        a = self.cos_coeffs
-        b = self.sin_coeffs
-        dg = np.zeros_like(phi)
+            return np.full_like(phi, self.radius), np.zeros_like(phi)
+        a, b = self.cos_coeffs, self.sin_coeffs
+        g, dg = np.full_like(phi, a[0]), np.zeros_like(phi)
         for k in range(1, len(a)):
-            dg = dg + 0.01 * k * (b[k - 1] * np.cos(k * phi) - a[k] * np.sin(k * phi))
-        return dg
+            s, c = np.sin(k * phi), np.cos(k * phi)
+            g = g + 0.01 * (b[k - 1] * s + a[k] * c)
+            dg = dg + 0.01 * k * (b[k - 1] * c - a[k] * s)
+        return g, dg
 
     # -- geometry -------------------------------------------------------------
     def xy(self, phi):
@@ -93,8 +98,7 @@ class CurveSpec:
 
     def speed(self, phi):
         """|d gamma / d phi| (arc-length density in the scaled ambient space)."""
-        g = self.radius_at(phi)
-        dg = self.radius_deriv(phi)
+        g, dg = self.radius_and_deriv(phi)
         return self.scale * np.sqrt(g * g + dg * dg)
 
     # t-domain helpers (t in [0,1), phi = 2 pi t) used by Galerkin assembly
@@ -105,9 +109,9 @@ class CurveSpec:
         return TWO_PI * self.speed(TWO_PI * np.asarray(t, dtype=float))
 
     def xy_weight_t(self, t):
-        """``(xy_t(t), weight_t(t))`` from one radius and one derivative evaluation."""
+        """``(xy_t(t), weight_t(t))`` from one fused radius and derivative evaluation."""
         phi = TWO_PI * np.asarray(t, dtype=float)
-        g, dg = self.radius_at(phi), self.radius_deriv(phi)
+        g, dg = self.radius_and_deriv(phi)
         return ((self.scale * g)[..., None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1),
                 TWO_PI * (self.scale * np.sqrt(g * g + dg * dg)))
 

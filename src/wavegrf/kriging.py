@@ -10,10 +10,10 @@ transform.  The posterior mean
 
     mu = C G^T (G C G^T + sigma^2 I)^(-1) y
 
-is evaluated with the Gram solve done by CG and every operator applied in
-factored form (sparse C_eps, banded single-scale observation matrix, fast
-transforms); the Gram matrix is never assembled for the solve.  The rows of
-``G`` and the diagnostic dense Gram are each built by one batched transform.
+is evaluated by CG on the Gram system with sparse factors only: ``G`` is CSR
+with O(K log p) nonzeros (wavelets are local), so one iteration is three CSR
+products (``G^T``, ``C_eps``, ``G``) and the Gram matrix is never assembled.
+``G`` is built by one batched transform of the banded single-scale rows.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def equispaced_observations(K: int, width: float, sigma2: float,
 @dataclass
 class ObservationMatrix:
     G_single: sparse.csr_matrix     # K x N against the dual single-scale basis
-    G: np.ndarray                   # K x p against the dual wavelets
+    G: sparse.csr_matrix            # K x p against the dual wavelets, O(K log p) nnz
     level: int
 
     @property
@@ -134,7 +134,7 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     keep = np.abs(vals) > 1e-14
     rows, cols, vals = pbox[keep], k[keep] % N, vals[keep]
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
-    G = np.ascontiguousarray(system.fwt(G_single.T.toarray()).T)
+    G = sparse.csr_matrix(system.fwt(G_single.T.toarray()).T)   # drops exact zeros only
     return ObservationMatrix(G_single=G_single, G=G, level=L)
 
 
@@ -147,46 +147,40 @@ def _ranges(lo: np.ndarray, hi: np.ndarray):
 
 
 class FactoredGram:
-    """Applies ``v -> (G C G^T + sigma2 I) v`` without forming the Gram matrix;
-    ``v`` is a K-vector or a (K, m) block."""
+    """Applies ``v -> (G C G^T + sigma2 I) v`` by three CSR products without
+    forming the Gram matrix; ``v`` is a K-vector or a (K, m) block."""
 
-    def __init__(self, Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
-                 sigma2: float):
+    def __init__(self, Ceps, obsmat: ObservationMatrix, sigma2: float):
         self.C = Ceps
-        self.om = obsmat
-        self.system = system
+        self.G = obsmat.G
+        self.GT = obsmat.G.T.tocsr()
         self.sigma2 = sigma2
         self.applies = 0
 
-    def apply_GT(self, v: np.ndarray) -> np.ndarray:
-        return self.system.fwt(self.om.G_single.T @ v)
-
-    def apply_G(self, w: np.ndarray) -> np.ndarray:
-        return self.om.G_single @ self.system.ifwt_dual(w)
-
     def __call__(self, v: np.ndarray) -> np.ndarray:
         self.applies += 1
-        Cw = self.C @ self.apply_GT(v)
-        return self.apply_G(Cw) + self.sigma2 * v
+        return self.G @ (self.C @ (self.GT @ v)) + self.sigma2 * v
 
 
 def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    y: np.ndarray, sigma2: float,
                    cg_tol: float = 1e-10) -> tuple[np.ndarray, CgResult]:
-    """Kriging coefficients ``mu`` in dual coordinates and the CG record."""
+    """Kriging coefficients ``mu`` in dual coordinates and the CG record;
+    ``system`` is unused here and in ``gram_matrix`` and ``gram_condition``."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     y = np.asarray(y, dtype=float)
-    gram = FactoredGram(Ceps, obsmat, system, sigma2)
+    gram = FactoredGram(Ceps, obsmat, sigma2)
     res = cg_solve(gram, y, tol=cg_tol, max_iter=max(10 * obsmat.K, 200))
-    mu = Ceps @ gram.apply_GT(res.x)
+    mu = Ceps @ (gram.GT @ res.x)
     return mu, res
 
 
-def posterior_mean_dense(C: np.ndarray, G: np.ndarray, y: np.ndarray,
+def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
                          sigma2: float) -> np.ndarray:
-    """Direct evaluation of the posterior mean (validation oracle)."""
+    """Direct dense evaluation of the posterior mean (validation oracle)."""
     C = np.asarray(C, dtype=float)
+    G = G.toarray() if sparse.issparse(G) else np.asarray(G, dtype=float)
     M = G @ C @ G.T + sigma2 * np.eye(G.shape[0])
     return C @ G.T @ np.linalg.solve(M, np.asarray(y, dtype=float))
 
@@ -196,7 +190,7 @@ def gram_matrix(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
     K = obsmat.K
     if K > 2048:
         raise ValueError("dense Gram assembly capped at K = 2048")
-    return FactoredGram(Ceps, obsmat, system, sigma2)(np.eye(K))
+    return FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
 
 
 def gram_condition(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,

@@ -110,6 +110,23 @@ PEANUT = curves.CurveSpec(kind="fourier", cos_coeffs=(1, 0, 90, 0, 0, 0),
                           sin_coeffs=(0, 0, 0, 0, 0))
 
 
+def test_fused_radius_series_gives_the_separate_floats():
+    """``xy_weight_t`` evaluates each sin(k phi), cos(k phi) once for both g
+    and g'; its points and weights are exactly ``xy_t`` and ``weight_t``, and
+    g' is exactly the term-by-term derivative series."""
+    t = np.linspace(0.0, 1.0, 1001)
+    phi = 2.0 * np.pi * t
+    for curve in (curves.paper_boundary(), curves.circle(1.0), PEANUT):
+        curve = curves.normalize_to_unit_diameter(curve)
+        xy, w = curve.xy_weight_t(t)
+        assert np.array_equal(xy, curve.xy_t(t)) and np.array_equal(w, curve.weight_t(t))
+        g, dg = curve.radius_and_deriv(phi)
+        ref = np.zeros_like(phi)
+        for k, (a, b) in enumerate(zip(curve.cos_coeffs[1:], curve.sin_coeffs), start=1):
+            ref = ref + 0.01 * k * (b * np.cos(k * phi) - a * np.sin(k * phi))
+        assert np.array_equal(g, curve.radius_at(phi)) and np.array_equal(dg, ref)
+
+
 def _einsum_reference(curve, kernel, J, q=8):
     """Full-grid assembly: every cell pair at order q through a 3-operand einsum."""
     inter = assembly.CellInteractions(curve, kernel, J + 1, q=q)

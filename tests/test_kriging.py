@@ -3,12 +3,14 @@ import pytest
 from scipy import sparse
 
 from wavegrf import kriging, sampling
+from wavegrf.curves import normalize_to_unit_diameter, paper_boundary
 from wavegrf.kriging import (FactoredGram, ObservationSet,
                              build_observation_matrix,
                              equispaced_observations, gram_condition,
                              gram_matrix, posterior_mean, posterior_mean_dense,
                              predict_at)
 from wavegrf.linalg import cg_solve, dense_bounds, dense_eigvals
+from wavegrf.wavelets import get_system
 
 
 def test_observation_validation():
@@ -47,7 +49,7 @@ def test_observation_matrix_structure(model):
     whole = ObservationSet(centers=np.array([0.5]), widths=np.array([1.0]),
                            sigma2=1.0)
     om1 = build_observation_matrix(m.system, whole, m.idx.J, m.curve)
-    row = om1.G[0]
+    row = om1.G.toarray()[0]
     coarse = m.idx.level_slice(m.idx.j0)
     assert np.abs(row[coarse]).max() > 0.1
     assert np.abs(row[coarse.stop:]).max() <= 1e-10 * np.abs(row[coarse]).max()
@@ -117,18 +119,71 @@ def test_factored_apply_equals_dense(model):
     m = model("matern12", 2, 6, 256)
     obs = equispaced_observations(16, 4.0 / 256, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
-    gram = FactoredGram(m.tapered, om, m.system, obs.sigma2)
+    gram = FactoredGram(m.tapered, om, obs.sigma2)
     rng = np.random.default_rng(1)
     v = rng.standard_normal(16)
-    dense = om.G @ m.tapered.to_dense() @ om.G.T @ v + obs.sigma2 * v
+    G = om.G.toarray()
+    dense = G @ m.tapered.to_dense() @ G.T @ v + obs.sigma2 * v
     np.testing.assert_allclose(gram(v), dense, rtol=1e-12, atol=1e-14)
+
+
+def _transform_chain_gram(C, om, system, sigma2, v):
+    """``(G C G^T + sigma2 I) v`` through ``G_single`` and the fast transforms,
+    never forming the wavelet-coordinate ``G``: the reference for the CSR
+    Gram apply."""
+    Cw = C @ system.fwt(om.G_single.T @ v)
+    return om.G_single @ system.ifwt_dual(Cw) + sigma2 * v
+
+
+@pytest.mark.parametrize("p", [128, 512, 2048])
+def test_factored_gram_matches_transform_chain(model, p):
+    m = model("matern12", 2, 6, p)
+    K = min(256, p // 2)
+    obs = equispaced_observations(K, min(4.0 / p, 0.5 / K), 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    gram = FactoredGram(m.tapered, om, obs.sigma2)
+    rng = np.random.default_rng(p)
+    for v in (rng.standard_normal(K), rng.standard_normal((K, 4))):
+        want = _transform_chain_gram(m.tapered, om, m.system, obs.sigma2, v)
+        assert np.abs(gram(v) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sparse_observation_matrix_is_the_transformed_single_scale_rows(model):
+    """``G`` holds exactly the floats of the batched transform, exact zeros
+    dropped and nothing else."""
+    m = model("matern12", 2, 6, 512)
+    obs = equispaced_observations(256, 0.5 / 256, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    assert sparse.isspmatrix_csr(om.G)
+    dense = m.system.fwt(om.G_single.T.toarray()).T
+    assert np.array_equal(om.G.toarray(), dense)
+    assert om.G.nnz == np.count_nonzero(dense)
+
+
+def test_observation_matrix_nnz_grows_by_a_constant_per_level():
+    """A box functional meets O(1) wavelets per level (the dual vanishing
+    moments annihilate the constant inside the box), so nnz(G) / K grows by a
+    bounded count per level: O(K log p) in all.  For (2, 6) and boxes four
+    fine cells wide it is exactly 8; boxes of fixed width add a few more."""
+    system = get_system(2, 6)
+    curve = normalize_to_unit_diameter(paper_boundary())
+
+    def growth_per_level(width):
+        per_functional = [build_observation_matrix(
+            system, equispaced_observations(32, width(p), 1e-2),
+            system.index_set_for_dim(p).J, curve).G.nnz / 32
+            for p in (128, 256, 512, 1024, 2048, 4096)]
+        return np.diff(per_functional)
+
+    assert np.array_equal(growth_per_level(lambda p: 4.0 / p), [8] * 5)
+    assert growth_per_level(lambda p: 1.0 / 32).max() <= 12
 
 
 def test_factored_gram_block_equals_columns(model):
     m = model("matern12", 2, 6, 256)
     obs = equispaced_observations(16, 4.0 / 256, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
-    gram = FactoredGram(m.tapered, om, m.system, obs.sigma2)
+    gram = FactoredGram(m.tapered, om, obs.sigma2)
     V = np.random.default_rng(7).standard_normal((16, 4))
     cols = np.stack([gram(V[:, i]) for i in range(4)], axis=1)
     np.testing.assert_allclose(gram(V), cols, rtol=1e-13, atol=1e-15)
@@ -254,7 +309,7 @@ def test_true_residual_check_costs_at_most_one_iteration(model):
     m = model("matern12", 2, 6, 512)
     obs = equispaced_observations(256, 0.5 / 256, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
-    gram = FactoredGram(m.tapered, om, m.system, obs.sigma2)
+    gram = FactoredGram(m.tapered, om, obs.sigma2)
     rng = np.random.default_rng(9)
     for _ in range(5):
         y = rng.standard_normal(256)
