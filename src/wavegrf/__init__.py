@@ -14,15 +14,14 @@ from .curves import (CurveSpec, circle, paper_boundary, distance, diameter,
                      normalize_to_unit_diameter)
 from .kernels import (KernelSpec, OperatorOrder, CircleSpectrum, eval_kernel,
                       kernel_from_name, operator_order)
-from .wavelets import (MultiIndex, LevelIndexSet, WaveletSystem, get_system,
-                       diag_scaling)
+from .wavelets import LevelIndexSet, WaveletSystem, get_system, diag_scaling
 from .assembly import assemble_single_scale, to_wavelet_coordinates
 from .compression import (CompressionParams, TaperPattern, taper_params,
                           build_pattern, apply_pattern, aposteriori_threshold,
                           sparsity_report)
 from .linalg import (SparseSymMatrix, SpectralBounds, CgResult, precondition,
                      cg_solve, lanczos_extremes, dense_bounds,
-                     condition_number, DenseOracle)
+                     condition_number, sym_function)
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
 from .sampling import (ContourQuadrature, GrfSample, GrfSampler, build_contour,
                        apply_sqrt, sqrt_matrix, synthesize_field)

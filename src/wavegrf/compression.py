@@ -162,16 +162,7 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
         t = (g["start"][ks][:, None] + rel[None, :] * g["width"]) % 1.0
         return curve.xy_t(t)                       # (m, S, 2)
 
-    geom = {}
-    for j in range(j0 + 1, J + 1):
-        n = idx.level_sizes[j]
-        lo, hi = system._reference_support(j)
-        h = 2.0 ** (-j)
-        start = ((np.arange(n) + lo) * h) % 1.0
-        width = (hi - lo) * h
-        center = (start + width / 2.0) % 1.0      # = (k + 1/2) h mod 1
-        knot_step = h / 2.0
-        geom[j] = dict(start=start, width=width, center=center, h=h, knot_step=knot_step)
+    geom = {j: system.level_geometry(j) for j in range(j0 + 1, J + 1)}
 
     def circ(x):
         x = np.abs(np.mod(x, 1.0))
@@ -199,17 +190,17 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
             if j > j0 and half < 0.5:
                 gap = np.maximum(0.0, circ(gj["center"][ii] - gp["center"][jj]) - half)
 
-                def chord_support(which):
+                def support_chord(which):
                     a = arc_points(gj, ii[which[0]])
                     b = arc_points(gp, jj[which[0]])
                     d = a[:, :, None, :] - b[:, None, :, :]
                     return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
 
-                drop = _classify_vs_threshold(gap, tau, bounds, chord_support)
+                drop = _classify_vs_threshold(gap, tau, bounds, support_chord)
                 if jp > j:
                     # second branch: support of the finer function inside the
                     # smooth part of the coarser one
-                    near = ~_classify_vs_threshold(gap, 2.0 ** (-j), bounds, chord_support)
+                    near = ~_classify_vs_threshold(gap, 2.0 ** (-j), bounds, support_chord)
                     cand = np.nonzero(near & ~drop)[0]
                     kgap = _knot_gap(gj, gp, ii[cand], jj[cand])
 

@@ -166,7 +166,7 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    y: np.ndarray, sigma2: float,
                    cg_tol: float = 1e-10) -> tuple[np.ndarray, CgResult]:
     """Kriging coefficients ``mu`` in dual coordinates and the CG record;
-    ``system`` is unused here and in ``gram_matrix`` and ``gram_condition``."""
+    ``system`` is unused here and in ``gram_matrix``."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     y = np.asarray(y, dtype=float)
@@ -193,9 +193,8 @@ def gram_matrix(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
     return FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
 
 
-def gram_condition(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
-                   sigma2: float) -> float:
-    ev = dense_eigvals(gram_matrix(Ceps, obsmat, system, sigma2))
+def gram_condition(Ceps, obsmat: ObservationMatrix, sigma2: float) -> float:
+    ev = dense_eigvals(gram_matrix(Ceps, obsmat, None, sigma2))
     return float(ev[-1] / ev[0])
 
 

@@ -1,5 +1,5 @@
 """Symmetric linear algebra: sparse storage, preconditioning, CG, Lanczos,
-condition numbers, and the dense eigen oracle used by validation paths."""
+condition numbers, and the dense eigen map ``V diag(f(lam)) V^T``."""
 
 from __future__ import annotations
 
@@ -9,6 +9,12 @@ import numpy as np
 from scipy import sparse
 
 from .wavelets import LevelIndexSet, diag_scaling
+
+#: relative widening of Lanczos bounds (Ritz values lie inside the spectrum),
+#: Lanczos step cap and start-vector seed
+BOUNDS_SAFETY, LANCZOS_MAX_ITER, LANCZOS_SEED = 0.1, 400, 7
+#: largest dimension for which :func:`condition_number` takes dense eigenvalues
+DENSE_COND_MAX_P = 2048
 
 
 class SparseSymMatrix:
@@ -143,9 +149,10 @@ class SpectralBounds:
     method: str
     rtol: float
 
-    def widened(self, safety: float = 0.1) -> "SpectralBounds":
-        return SpectralBounds(self.lambda_min / (1.0 + safety),
-                              self.lambda_max * (1.0 + safety),
+    def widened(self) -> "SpectralBounds":
+        """The interval stretched by ``1 + BOUNDS_SAFETY`` at both ends."""
+        return SpectralBounds(self.lambda_min / (1.0 + BOUNDS_SAFETY),
+                              self.lambda_max * (1.0 + BOUNDS_SAFETY),
                               self.method, self.rtol)
 
     @property
@@ -153,16 +160,16 @@ class SpectralBounds:
         return self.lambda_max / self.lambda_min
 
 
-def lanczos_extremes(A, p: int, tol: float = 1e-8, seed: int = 7,
-                     max_iter: int | None = None) -> SpectralBounds:
+def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
     """Extremal eigenvalues by Lanczos with full reorthogonalization.
 
-    Deterministic for a given seed.  Raises if the extremes have not
-    stabilized to relative tolerance within the iteration cap.
+    Deterministic (the start vector is drawn from ``LANCZOS_SEED``).  Raises
+    if the extremes have not stabilized to relative tolerance within
+    ``LANCZOS_MAX_ITER`` steps.
     """
     apply_A = _as_apply(A)
-    max_iter = min(p, 400) if max_iter is None else min(max_iter, p)
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0x1a2b3c4d]))
+    max_iter = min(p, LANCZOS_MAX_ITER)
+    rng = np.random.Generator(np.random.Philox(key=[LANCZOS_SEED, 0x1a2b3c4d]))
     q = rng.standard_normal(p)
     q /= np.linalg.norm(q)
     Q = np.zeros((p, max_iter))
@@ -205,9 +212,12 @@ def dense_bounds(A) -> SpectralBounds:
 
 
 def _require_symmetric(A) -> np.ndarray:
-    M = A.to_dense() if isinstance(A, SparseSymMatrix) else np.asarray(A, dtype=float)
+    """Dense copy of a symmetric matrix; a SparseSymMatrix was checked when built."""
+    if isinstance(A, SparseSymMatrix):
+        return A.to_dense()
+    M = np.asarray(A, dtype=float)
     if M.shape[0] != M.shape[1] or not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
-        raise ValueError("dense oracle requires a symmetric matrix")
+        raise ValueError("dense eigensolver requires a symmetric matrix")
     return M
 
 
@@ -215,10 +225,16 @@ def dense_eigvals(A) -> np.ndarray:
     return np.linalg.eigvalsh(_require_symmetric(A))
 
 
-def condition_number(A, dense_limit: int = 2048) -> float:
-    """2-norm condition number; dense path up to ``dense_limit``, else Lanczos."""
+def sym_function(A, f) -> np.ndarray:
+    """``V diag(f(lam)) V^T`` from one ``eigh`` of the symmetric ``A = V diag(lam) V^T``."""
+    lam, V = np.linalg.eigh(_require_symmetric(A))
+    return (V * f(lam)) @ V.T
+
+
+def condition_number(A) -> float:
+    """2-norm condition number; dense up to ``DENSE_COND_MAX_P``, else Lanczos."""
     p = A.shape[0]
-    if p <= dense_limit:
+    if p <= DENSE_COND_MAX_P:
         ev = dense_eigvals(A)
         lo, hi = float(ev[0]), float(ev[-1])
     else:
@@ -228,18 +244,3 @@ def condition_number(A, dense_limit: int = 2048) -> float:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (min eig {lo:.3e})")
     return hi / lo
 
-
-class DenseOracle:
-    """Full symmetric eigendecomposition with square root."""
-
-    def __init__(self, A):
-        M = _require_symmetric(A)
-        if M.shape[0] > 4096:
-            raise ValueError("dense oracle capped at p = 4096")
-        self.eigenvalues, self.vectors = np.linalg.eigh(M)
-
-    def sqrt(self) -> np.ndarray:
-        if np.min(self.eigenvalues) < 0 and np.min(self.eigenvalues) < -1e-12 * max(self.eigenvalues):
-            raise np.linalg.LinAlgError("matrix square root needs PSD input")
-        lam = np.sqrt(np.maximum(self.eigenvalues, 0.0))
-        return (self.vectors * lam) @ self.vectors.T

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from . import rng
 from .compression import TaperPattern
-from .linalg import DenseOracle, SparseSymMatrix, dense_eigvals
+from .linalg import SparseSymMatrix, dense_eigvals, sym_function
 from .wavelets import LevelIndexSet
 
 
@@ -70,6 +70,14 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
 #: read-only level roots by (sha256 of C, shape, p_j), least recently used first
 _ROOTS: dict = {}
 _ROOTS_MAX = 16
+#: largest level dimension p_j given a dense root
+ROOT_MAX_P = 4096
+
+
+def _psd_sqrt(lam: np.ndarray) -> np.ndarray:
+    if np.min(lam) < -1e-12 * np.max(lam):
+        raise np.linalg.LinAlgError("matrix square root needs PSD input")
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 class GaussianCoefficientSource:
@@ -93,7 +101,9 @@ class GaussianCoefficientSource:
         key = (self._digest, self.C.shape, p_j)
         root = _ROOTS.pop(key, None)
         if root is None:
-            root = DenseOracle(self.C[:p_j, :p_j]).sqrt()
+            if p_j > ROOT_MAX_P:
+                raise ValueError(f"dense level root capped at p = {ROOT_MAX_P}")
+            root = sym_function(self.C[:p_j, :p_j], _psd_sqrt)
             root.flags.writeable = False
         _ROOTS[key] = root
         if len(_ROOTS) > _ROOTS_MAX:

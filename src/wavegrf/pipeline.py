@@ -76,19 +76,10 @@ class CovarianceModel:
     def preconditioned_dense(self) -> np.ndarray:
         return linalg.precondition(self.wavelet_dense, self.idx, self.order.ra)
 
-    def spectral_bounds(self, exact: bool = True, safety: float = 0.1,
-                        seed: int = 7) -> linalg.SpectralBounds:
+    def spectral_bounds(self, exact: bool = True) -> linalg.SpectralBounds:
         if exact:
             return linalg.dense_bounds(self.preconditioned)
-        return linalg.lanczos_extremes(self.preconditioned,
-                                       self.idx.p, seed=seed).widened(safety)
-
-    def verify_spd(self) -> None:
-        ev = linalg.dense_eigvals(self.tapered)
-        if ev[0] <= 0:
-            raise np.linalg.LinAlgError(
-                f"tapered covariance lost definiteness (min eig {ev[0]:.3e}); "
-                "increase the taper constants a, a'")
+        return linalg.lanczos_extremes(self.preconditioned, self.idx.p).widened()
 
     @property
     def meta(self) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
-from .linalg import SparseSymMatrix, SpectralBounds, cg_solve, precondition, _as_apply
+from .linalg import SpectralBounds, cg_solve, precondition, sym_function, _as_apply
 from .wavelets import LevelIndexSet, WaveletSystem, diag_scaling
 
 
@@ -93,11 +93,9 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
 
 
 def sqrt_matrix(R, contour: ContourQuadrature) -> np.ndarray:
-    """Dense ``S_K`` (small and moderate p) from one ``eigh``: with
-    ``R = V diag(lam) V^T``, ``S_K = V diag(contour.scalar_values(lam)) V^T``."""
-    Rd = R.to_dense() if isinstance(R, SparseSymMatrix) else np.asarray(R, dtype=float)
-    lam, V = np.linalg.eigh(Rd)
-    return (V * contour.scalar_values(lam)) @ V.T
+    """Dense ``S_K = V diag(contour.scalar_values(lam)) V^T`` (small and
+    moderate p) from one ``eigh`` of ``R = V diag(lam) V^T``."""
+    return sym_function(R, contour.scalar_values)
 
 
 @dataclass

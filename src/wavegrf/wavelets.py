@@ -19,7 +19,6 @@ along axis 0, so a 2-D array is transformed column by column in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,12 +27,6 @@ from scipy import sparse
 from .filters import FilterBank, build_filter_bank
 
 SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    j: int
-    k: int
 
 
 class LevelIndexSet:
@@ -63,18 +56,6 @@ class LevelIndexSet:
         for j in self.levels:
             out[self.level_slice(j)] = j
         return out
-
-    def position(self, lam: MultiIndex) -> int:
-        if not (0 <= lam.k < self.level_sizes[lam.j]):
-            raise IndexError(f"translate {lam.k} out of range at level {lam.j}")
-        return self._offsets[lam.j] + lam.k
-
-    def multi_index(self, pos: int) -> MultiIndex:
-        for j in self.levels:
-            s = self.level_slice(j)
-            if s.start <= pos < s.stop:
-                return MultiIndex(j, pos - s.start)
-        raise IndexError(pos)
 
     def truncate(self, J: int) -> "LevelIndexSet":
         """Nested sub-index-set; its flat layout is a prefix of this one."""
@@ -189,36 +170,22 @@ class WaveletSystem:
         return x
 
     # -- support geometry --------------------------------------------------
-    def support(self, lam: MultiIndex) -> tuple[float, float]:
-        """Parameter interval ``(start, width)`` of the basis function, mod 1.
-
-        Width is capped at 1 when the periodized function covers the circle.
-        """
-        lo, hi = self._reference_support(lam.j)
-        j_eff = lam.j + 1 if lam.j == self.j0 else lam.j
-        h = 2.0 ** (-j_eff)
-        return ((lam.k + lo) * h) % 1.0, min((hi - lo) * h, 1.0)
-
-    def _reference_support(self, j: int) -> tuple[float, float]:
-        if j == self.j0:          # coarse block: hat at level j0+1
-            return (-1.0, 1.0)
-        return (-self.dt / 2.0, self.dt / 2.0 + 1.0)
-
     def support_width(self, j: int) -> float:
-        lo, hi = self._reference_support(j)
-        j_eff = j + 1 if j == self.j0 else j
-        return (hi - lo) * 2.0 ** (-j_eff)
+        """Support width at level j (the coarse hats span two cells of level j0 + 1)."""
+        return 2.0 ** (-self.j0) if j == self.j0 else self.level_geometry(j)["width"]
 
-    def singular_support(self, lam: MultiIndex) -> np.ndarray:
-        """Spline knots of the (piecewise linear) basis function, mod 1."""
-        lo, hi = self._reference_support(lam.j)
-        if lam.j == self.j0:
-            knots = np.arange(lo, hi + 0.5, 1.0)
-            h = 2.0 ** (-(lam.j + 1))
-        else:
-            knots = np.arange(lo, hi + 0.25, 0.5)
-            h = 2.0 ** (-lam.j)
-        return ((lam.k + knots) * h) % 1.0
+    def level_geometry(self, j: int) -> dict:
+        """Supports of the level-j wavelets, ``j > j0``: ``start`` (per
+        translate k, mod 1), ``width``, ``center`` (``(k + 1/2) h`` mod 1),
+        the cell ``h = 2^-j`` and the step ``h/2`` of the spline knots,
+        which run from each ``start`` to its end."""
+        if j <= self.j0:
+            raise ValueError(f"level {j} is not a wavelet level above j0 = {self.j0}")
+        h = 2.0 ** (-j)
+        start = ((np.arange(2**j) - self.dt / 2.0) * h) % 1.0
+        width = (self.dt + 1.0) * h
+        center = (start + width / 2.0) % 1.0
+        return dict(start=start, width=width, center=center, h=h, knot_step=h / 2.0)
 
     # -- pointwise evaluation ----------------------------------------------
     @lru_cache(maxsize=8)

@@ -66,6 +66,22 @@ def test_tables_command_small(tmp_path):
     assert vals[1, 4] == pytest.approx(vals[0, 4], rel=0.25)
 
 
+def test_tables_refuses_indefinite_tapered_matrix(tmp_path, capsys, monkeypatch):
+    """R = D C_eps D has the inertia of C_eps (Sylvester), so the condition
+    number of R refuses an indefinite C_eps: exit 3, no table."""
+    from wavegrf import compression
+    from wavegrf.linalg import SparseSymMatrix
+    apply_pattern = compression.apply_pattern
+    monkeypatch.setattr(compression, "apply_pattern", lambda A, pattern: SparseSymMatrix(
+        -apply_pattern(A, pattern).csr, check=False))
+    rc, out = run(tmp_path, "tables", {"kernel": "matern12", "families": [[2, 6]],
+                                       "p_list": [32]})
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and "not positive definite" in err["message"]
+    assert not (out / "tables_matern12.csv").exists()
+
+
 def test_decay_command(tmp_path):
     cfg = {"kernels": ["matern12"], "p": 64}
     rc, out = run(tmp_path, "decay", cfg)

@@ -218,7 +218,7 @@ def _dense_reference_pattern(system, curve, params, J):
     geom = {}
     for j in range(j0 + 1, J + 1):
         n = idx.level_sizes[j]
-        lo, hi = system._reference_support(j)
+        lo, hi = -system.dt / 2.0, system.dt / 2.0 + 1.0     # wavelet support, in cells
         h = 2.0 ** (-j)
         start = ((np.arange(n) + lo) * h) % 1.0
         width = (hi - lo) * h

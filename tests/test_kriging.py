@@ -227,7 +227,7 @@ def test_gram_spectrum_bounds(model):
     ev = dense_eigvals(gram_matrix(m.tapered, om, m.system, obs.sigma2))
     assert ev[0] >= obs.sigma2 - 1e-12
     # very large noise: condition tends to one
-    big = gram_condition(m.tapered, om, m.system, 1e8)
+    big = gram_condition(m.tapered, om, 1e8)
     assert big == pytest.approx(1.0, abs=1e-6)
 
 
@@ -240,7 +240,7 @@ def test_gram_condition_plateaus_in_p(model):
         m = model("matern12", 2, 6, p)
         obs = equispaced_observations(16, 1.0 / 64, sigma2)
         om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
-        conds.append(gram_condition(m.tapered, om, m.system, sigma2))
+        conds.append(gram_condition(m.tapered, om, sigma2))
         bounds_.append(np.max(obs.norms(m.curve)) ** 2 / sigma2 + 1.0)
     conds = np.array(conds)
     assert conds.max() / conds.min() <= 1.5

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wavegrf.linalg import (DenseOracle, SparseSymMatrix, cg_solve,
-                            condition_number, dense_bounds, dense_eigvals,
-                            lanczos_extremes, precondition)
+from wavegrf.linalg import (SparseSymMatrix, cg_solve, condition_number,
+                            dense_bounds, dense_eigvals, lanczos_extremes,
+                            precondition, sym_function)
 from wavegrf.wavelets import LevelIndexSet
 from scipy import sparse
 
@@ -131,20 +131,33 @@ def test_condition_number_paths():
         condition_number(np.diag([1.0, 0.0]))
 
 
-def test_dense_oracle():
-    o = DenseOracle(np.eye(4))
-    np.testing.assert_allclose(o.eigenvalues, 1.0)
-    np.testing.assert_allclose(o.sqrt(), np.eye(4))
-    o2 = DenseOracle(np.diag([4.0]))
-    np.testing.assert_allclose(o2.sqrt(), [[2.0]])
+def test_sym_function():
+    np.testing.assert_allclose(sym_function(np.eye(4), np.sqrt), np.eye(4))
+    np.testing.assert_allclose(sym_function(np.diag([4.0]), np.sqrt), [[2.0]])
     rng = np.random.default_rng(3)
     B = rng.standard_normal((30, 30))
     A = B @ B.T + np.eye(30)
-    oa = DenseOracle(A)
-    S = oa.sqrt()
+    S = sym_function(A, np.sqrt)
     assert np.linalg.norm(S @ S - A, 2) <= 1e-10 * np.linalg.norm(A, 2)
+    # the identity map gives A back; a trusted SparseSymMatrix is taken as is
+    np.testing.assert_allclose(sym_function(A, lambda lam: lam), A,
+                               rtol=0, atol=1e-10 * np.abs(A).max())
+    As = SparseSymMatrix(sparse.csr_matrix(A))
+    assert np.array_equal(sym_function(As, np.sqrt), S)
     with pytest.raises(ValueError):
-        DenseOracle(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        sym_function(np.array([[1.0, 2.0], [0.0, 1.0]]), np.sqrt)
+    with pytest.raises(ValueError):
+        dense_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_dense_bounds_of_preconditioned_match_eigvalsh(model):
+    """The trusted sparse matrix skips the symmetry scan and gives the very
+    extremes of ``eigvalsh`` on its dense copy."""
+    m = model("matern12", 2, 6, 256)
+    ev = np.linalg.eigvalsh(m.preconditioned.to_dense())
+    b = dense_bounds(m.preconditioned)
+    assert b.lambda_min == ev[0] and b.lambda_max == ev[-1]
+    assert np.array_equal(dense_eigvals(m.preconditioned), ev)
 
 
 def test_nested_section_condition_monotone(model):
@@ -169,3 +182,22 @@ def test_tapered_spectrum_within_widened_interval(model):
     eve = dense_eigvals(Re)
     assert eve[0] >= ev[0] - widen - 1e-12
     assert eve[-1] <= ev[-1] + widen + 1e-12
+
+
+def test_dense_symmetric_eigensolves_live_in_linalg():
+    """``np.linalg.eigh``/``eigvalsh`` are called from ``linalg`` only; every
+    other module goes through ``dense_eigvals``, ``dense_bounds`` or
+    ``sym_function``."""
+    import ast
+    from pathlib import Path
+
+    import wavegrf
+    found = []
+    for path in sorted(Path(wavegrf.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -6,7 +6,7 @@ from scipy import sparse
 
 from wavegrf import io, mlmc
 from wavegrf.cli import main
-from wavegrf.linalg import DenseOracle, SparseSymMatrix
+from wavegrf.linalg import SparseSymMatrix
 from wavegrf.mlmc import (CsvSampleSource, GaussianCoefficientSource,
                           error_report, estimate, schedule, write_sample_csv)
 
@@ -216,13 +216,19 @@ def test_column_restricted_draw_is_bit_identical_to_full_draw(model):
                               full[:, m.idx.level_slice(J)])
 
 
+def _eigh_sqrt(C):
+    """Reference symmetric square root from one ``eigh``."""
+    lam, V = np.linalg.eigh(C)
+    return (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
+
+
 def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     monkeypatch.setattr(mlmc, "_ROOTS", {})
     m = model("matern12", 2, 6, 64)
     C = m.tapered.to_dense()
     J = m.idx.J
     r1 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
-    assert np.array_equal(r1, DenseOracle(C).sqrt())
+    assert np.array_equal(r1, _eigh_sqrt(C))
     assert not r1.flags.writeable
     # a second source on the same content reuses the root
     r2 = GaussianCoefficientSource(C.copy(), m.idx, seed=2)._root(J)
@@ -231,7 +237,7 @@ def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     C[3, 3] += 1.0
     r3 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
     assert r3 is not r1
-    assert np.array_equal(r3, DenseOracle(C).sqrt())
+    assert np.array_equal(r3, _eigh_sqrt(C))
     # bounded: many covariances never grow the cache past its limit
     for k in range(mlmc._ROOTS_MAX + 4):
         src = GaussianCoefficientSource(C + k * np.eye(64), m.idx, seed=0)
@@ -243,6 +249,35 @@ def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         GaussianCoefficientSource(-np.eye(64), m.idx, seed=0).draw(J, 1, 0)
     assert len(mlmc._ROOTS) == n
+
+
+def test_source_refuses_indefinite_covariance(model, monkeypatch):
+    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    m = model("matern12", 2, 6, 64)
+    C = m.tapered.to_dense()
+    C[0, 0] = -1.0                      # a negative diagonal entry: indefinite
+    src = GaussianCoefficientSource(C, m.idx, seed=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        src.draw(m.idx.J, 1, 0)
+    assert mlmc._ROOTS == {}
+    # a non-symmetric covariance is refused before any eigensolve
+    C = m.tapered.to_dense()
+    C[0, 5] += 1.0
+    with pytest.raises(ValueError):
+        GaussianCoefficientSource(C, m.idx, seed=0).draw(m.idx.J, 1, 0)
+
+
+def test_source_refuses_root_above_cap(model, monkeypatch):
+    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    monkeypatch.setattr(mlmc, "ROOT_MAX_P", 32)
+    m = model("matern12", 2, 6, 64)
+    src = GaussianCoefficientSource(m.tapered.to_dense(), m.idx, seed=0)
+    assert src.draw(m.idx.J - 1, 2, 0).shape == (2, 32)     # p_j = 32 is at the cap
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="capped"):
+        src.draw(m.idx.J, 1, 0)
+    assert calls == []
 
 
 def test_doubling_samples_helps_sqrt2(model):

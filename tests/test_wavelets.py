@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from wavegrf.filters import SUPPORTED_PAIRS
-from wavegrf.wavelets import (LevelIndexSet, MultiIndex, WaveletSystem,
-                              _level_operator, diag_scaling, get_system)
+from wavegrf.wavelets import (LevelIndexSet, WaveletSystem, _level_operator,
+                              diag_scaling, get_system)
 
 TRANSFORMS = ("fwt", "ifwt", "fwt_dual", "ifwt_dual")
 
@@ -52,11 +52,11 @@ def test_index_set_sizes():
     assert idx.level_sizes == {2: 8, 3: 8, 4: 16, 5: 32}
     assert idx.level_slice(2) == slice(0, 8)
     assert idx.level_slice(5) == slice(32, 64)
-    lam = idx.multi_index(33)
-    assert (lam.j, lam.k) == (5, 1)
-    assert idx.position(MultiIndex(4, 3)) == 19
-    with pytest.raises(IndexError):
-        idx.position(MultiIndex(4, 16))
+    # translate k of level j sits at flat position level_slice(j).start + k
+    assert idx.level_slice(4).start + 3 == 19
+    assert idx.level_of_position()[idx.level_slice(5).start + 1] == 5
+    assert idx.level_of_position()[idx.level_slice(4).start + 15] == 4
+    assert idx.level_slice(4).start + 16 == idx.level_slice(5).start
 
 
 def test_index_set_truncation_is_prefix():
@@ -187,25 +187,33 @@ def test_transform_length_validation():
 def test_support_geometry():
     sys_ = get_system(2, 6)
     # wavelet support width is c 2^-j with a level-independent constant
-    widths = {j: sys_.support_width(j) for j in (3, 4, 5, 6)}
+    geom = {j: sys_.level_geometry(j) for j in (3, 4, 5, 6)}
+    widths = {j: g["width"] for j, g in geom.items()}
     for j in (3, 4, 5):
         assert widths[j] == pytest.approx(2 * widths[j + 1])
+        assert sys_.support_width(j) == widths[j]
     assert widths[3] == pytest.approx(7 / 8)       # (dt + 1) 2^-j
-    start, width = sys_.support(MultiIndex(4, 5))
-    knots = sys_.singular_support(MultiIndex(4, 5))
-    # knots lie inside the closed support interval (modulo wrap)
-    rel = (knots - start) % 1.0
-    assert np.all(rel <= width + 1e-12)
-    assert len(knots) == 2 * (sys_.dt + 1) + 1
+    g = geom[4]
+    assert len(g["start"]) == 2**4 and g["h"] == 2.0**-4
+    np.testing.assert_allclose(g["center"], ((np.arange(16) + 0.5) * g["h"]) % 1.0,
+                               rtol=0, atol=1e-15)
+    # the knots of translate 5, at step h/2 from its start, fill the closed
+    # support interval (modulo wrap): 2 (dt + 1) + 1 of them
+    nk = int(round(g["width"] / g["knot_step"])) + 1
+    assert nk == 2 * (sys_.dt + 1) + 1
+    knots = (g["start"][5] + np.arange(nk) * g["knot_step"]) % 1.0
+    rel = (knots - g["start"][5]) % 1.0
+    assert np.all(rel <= g["width"] + 1e-12)
     # knot spacing is half a cell at that level
     dk = np.sort(rel)
     assert np.allclose(np.diff(dk), 2.0 ** (-5), atol=1e-12)
+    with pytest.raises(ValueError):
+        sys_.level_geometry(sys_.j0)
 
 
 def test_coarse_block_support_is_hat():
     sys_ = get_system(2, 6)
-    start, width = sys_.support(MultiIndex(sys_.j0, 0))
-    assert width == pytest.approx(2.0 ** (-sys_.j0))
+    assert sys_.support_width(sys_.j0) == pytest.approx(2.0 ** (-sys_.j0))
 
 
 def test_dual_scaling_partition_of_unity():
@@ -229,18 +237,15 @@ def test_numerical_biorthogonality_on_sample_indices(dt):
     n = 2 ** (J + 1)
     res = J + 1 + 5
     grid = 2**res
-    pairs = [(MultiIndex(4, 1), MultiIndex(4, 1)),
-             (MultiIndex(4, 1), MultiIndex(4, 2)),
-             (MultiIndex(4, 1), MultiIndex(5, 2)),
-             (MultiIndex(5, 7), MultiIndex(5, 7)),
-             (MultiIndex(sys_.j0, 0), MultiIndex(sys_.j0, 0)),
-             (MultiIndex(sys_.j0, 0), MultiIndex(4, 3))]
+    pairs = [((4, 1), (4, 1)), ((4, 1), (4, 2)), ((4, 1), (5, 2)),
+             ((5, 7), (5, 7)), ((sys_.j0, 0), (sys_.j0, 0)),
+             ((sys_.j0, 0), (4, 3))]
     idx = sys_.index_set(J)
     for lam, mu in pairs:
         e1 = np.zeros(n)
-        e1[idx.position(lam)] = 1.0
+        e1[idx.level_slice(lam[0]).start + lam[1]] = 1.0
         e2 = np.zeros(n)
-        e2[idx.position(mu)] = 1.0
+        e2[idx.level_slice(mu[0]).start + mu[1]] = 1.0
         f1 = sys_.synthesize_on_grid(e1, res, dual=False)
         f2 = sys_.synthesize_on_grid(e2, res, dual=True)
         ip = np.sum(f1 * f2) / grid
