@@ -202,13 +202,10 @@ def predict_at(system: WaveletSystem, curve: CurveSpec, mu: np.ndarray,
                targets: np.ndarray, resolution: int | None = None) -> np.ndarray:
     """Field prediction at parameter points (snapped to a dyadic grid).
 
-    The synthesized parameter-domain expansion is divided by the arc-length
-    weight, matching the pairing in which the coefficients were estimated.
+    The parameter-domain expansion, evaluated at the snapped targets only,
+    is divided by the arc-length weight, matching the pairing in which the
+    coefficients were estimated.  Cost O(p + len(targets) * support).
     """
-    idx = system.index_set_for_dim(len(mu))
-    res = (idx.J + 1 + 4) if resolution is None else resolution
-    grid_vals = system.synthesize_on_grid(mu, res, dual=True)
-    t = np.asarray(targets, dtype=float) % 1.0
-    pos = np.round(t * 2**res).astype(int) % 2**res
-    tgrid = pos / float(2**res)
-    return grid_vals[pos] / curve.weight_t(tgrid)
+    res = system.index_set_for_dim(len(mu)).J + 5 if resolution is None else resolution
+    pos = np.round(np.asarray(targets, dtype=float) % 1.0 * 2**res).astype(int) % 2**res
+    return system.synthesize_at(mu, pos, res) / curve.weight_t(pos / float(2**res))

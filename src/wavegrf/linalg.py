@@ -125,9 +125,10 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
                 break
             p = r.copy()
         Ap = apply_A(p)
-        if not np.all(np.isfinite(Ap)):
-            raise FloatingPointError("non-finite value in CG matvec")
+        # any inf or NaN in p or Ap reaches p @ Ap, since 0 * inf is NaN
         pAp = float(p @ Ap)
+        if not np.isfinite(pAp):
+            raise FloatingPointError("non-finite value in CG matvec")
         if pAp <= 0.0:
             raise np.linalg.LinAlgError("CG breakdown: operator is not SPD")
         alpha = rs / pAp
@@ -216,7 +217,8 @@ def _require_symmetric(A) -> np.ndarray:
     if isinstance(A, SparseSymMatrix):
         return A.to_dense()
     M = np.asarray(A, dtype=float)
-    if M.shape[0] != M.shape[1] or not np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max())):
+    if M.shape[0] != M.shape[1] or not (np.array_equal(M, M.T) or np.allclose(
+            M, M.T, atol=1e-12 * max(1.0, np.abs(M).max()))):
         raise ValueError("dense eigensolver requires a symmetric matrix")
     return M
 

@@ -95,6 +95,7 @@ class GaussianCoefficientSource:
         self.seed = seed
         self.C = np.array(C, dtype=float, order="C")
         self._digest = hashlib.sha256(self.C).digest()
+        self._xi = np.empty(0)          # reused buffer of the standard normals
 
     def _root(self, j: int) -> np.ndarray:
         p_j = self.idx.truncate(j).p
@@ -114,8 +115,11 @@ class GaussianCoefficientSource:
         """Columns ``cols`` of (count, p(j_res)) i.i.d. coefficient vectors at
         resolution j_res, equal to those of the full draw."""
         root = self._root(j_res)
-        xi = rng.stream(self.seed, stream_id).standard_normal((count, root.shape[0]))
-        return xi @ root.T[:, cols]
+        if self._xi.size < count * root.shape[0]:
+            self._xi = np.empty(count * root.shape[0])
+        xi = self._xi[:count * root.shape[0]].reshape(count, root.shape[0])
+        rng.stream(self.seed, stream_id).standard_normal(out=xi)
+        return xi @ root[cols].T
 
 
 class CsvSampleSource:

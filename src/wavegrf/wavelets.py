@@ -207,12 +207,8 @@ class WaveletSystem:
         lo, hi = mask.start, mask.stop
         # exact values at the interior integers: eigenvector of T[n,i] = a_{2n-i}
         pts = np.arange(lo + 1, hi)
-        T = np.zeros((len(pts), len(pts)))
-        for a, n in enumerate(pts):
-            for b, i in enumerate(pts):
-                t = 2 * n - i
-                if mask.start <= t <= mask.stop:
-                    T[a, b] = mask.coeffs[t - mask.start]
+        t = 2 * pts[:, None] - pts[None, :] - lo
+        T = np.where((t >= 0) & (t <= hi - lo), mask.coeffs[np.clip(t, 0, hi - lo)], 0.0)
         w, V = np.linalg.eig(T)
         v = np.real(V[:, np.argmin(np.abs(w - 1.0))])
         v /= v.sum()
@@ -253,36 +249,37 @@ class WaveletSystem:
             out[ok] += c * phi[j[ok]]
         return out, step
 
-    def synthesize_on_grid(self, coeffs: np.ndarray, resolution: int,
-                           dual: bool = True) -> np.ndarray:
-        """Evaluate ``sum_lam coeffs[lam] * basis_lam`` on the grid ``2^-resolution``.
+    def synthesize_at(self, coeffs: np.ndarray, positions: np.ndarray,
+                      resolution: int, dual: bool = True) -> np.ndarray:
+        """Evaluate ``sum_lam coeffs[lam] * basis_lam`` at the grid points
+        ``positions * 2^-resolution`` (integers, periodic) in O(p) for the
+        inverse transform plus O(len(positions) * support) for the gather.
 
         With ``dual=True`` this realizes the field expansion in the dual
         family.  ``resolution`` must be at least the single-scale level.
         """
-        idx = self.index_set_for_dim(np.asarray(coeffs).shape[0])
-        L = idx.J + 1
+        L = self._check_len(np.asarray(coeffs).shape[0]) + 1
         if resolution < L:
             raise ValueError(f"resolution 2^-{resolution} too coarse for level {L}")
         c = self.ifwt_dual(coeffs) if dual else self.ifwt(coeffs)
         sweeps = resolution - L
         phi, _ = self.scaling_values(dual=dual, sweeps=max(sweeps, 1))
-        stride = 1 if sweeps >= 1 else 2
-        vals = phi[::stride]                       # values at step 2^-sweeps
+        vals = phi[::1 if sweeps >= 1 else 2]      # values at step 2^-sweeps
         start = self.bank.lo_dual.start if dual else -1
-        n = 2**resolution
         per = 2**sweeps
-        out = np.zeros(n)
-        scale = 2.0 ** (L / 2.0)
-        ks = np.arange(2**L)
-        # field(t_m) = sum_k c_k 2^{L/2} phi(m/per - k); grid point m receives
-        # the tabulated value at index i where m = per*(k + start) + i
-        for i, v in enumerate(vals):
-            if v == 0.0:
-                continue
-            pos = (ks * per + start * per + i) % n
-            out[pos] += v * scale * c[ks]
+        tab = np.pad(vals * 2.0 ** (L / 2.0), (0, -len(vals) % per))
+        # field(t_m) = sum_k c_k 2^{L/2} phi(m/per - k): point m sums, in increasing
+        # i, the tabulated values i = r, r + per, ... where m = per*(k + start) + i
+        q, r = np.divmod(np.asarray(positions) - per * start, per)
+        out = np.zeros(np.shape(q))
+        for s in range(len(tab) // per):
+            out += tab[r + per * s] * c[(q - s) % 2**L]
         return out
+
+    def synthesize_on_grid(self, coeffs: np.ndarray, resolution: int,
+                           dual: bool = True) -> np.ndarray:
+        """:meth:`synthesize_at` at all 2^resolution grid points, O(2^resolution * support)."""
+        return self.synthesize_at(coeffs, np.arange(2**resolution), resolution, dual)
 
 
 @lru_cache(maxsize=16)

@@ -128,21 +128,26 @@ def test_fused_radius_series_gives_the_separate_floats():
 
 
 def _einsum_reference(curve, kernel, J, q=8):
-    """Full-grid assembly: every cell pair at order q through a 3-operand einsum."""
+    """Full-grid assembly: every cell pair at order q, eight row cells at a
+    time; squared distances from two outer differences, the hat weights
+    contracted by two matmuls."""
     inter = assembly.CellInteractions(curve, kernel, J + 1, q=q)
     pts, uwb = inter.panel(q)
     N = inter.N
+    x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
     A = np.zeros((N, N))
     cols = np.arange(N)
-    for rows in np.array_split(cols, max(1, N // 32)):
-        d = pts[rows][:, :, None, None, :] - pts[None, None, :, :, :]
-        K = inter.kern(np.sqrt(np.einsum("maDbx,maDbx->maDb", d, d)))  # (m, q, N, q)
-        own = np.nonzero((cols[None, :] - rows[:, None]) % N == 0)
-        K[own[0], :, own[1], :] = 0.0
-        blk = np.einsum("maDb,mai,Dbj->mDij", K, uwb[rows], uwb, optimize=True)
+    for rows in np.array_split(cols, max(1, N // 8)):
+        m, pr = len(rows), slice(rows[0] * q, (rows[-1] + 1) * q)
+        r = np.subtract.outer(x[pr], x) ** 2
+        r += np.subtract.outer(y[pr], y) ** 2
+        K = inter.kern(np.sqrt(r, out=r)).reshape(m, q, N, q)
+        K[np.arange(m), :, rows, :] = 0.0                          # self pairs
+        T = uwb[rows].transpose(0, 2, 1) @ K.reshape(m, q, N * q)   # (m, 2, N q)
+        blk = (T.reshape(2 * m, N, q).transpose(1, 0, 2) @ uwb).reshape(N, m, 2, 2)
         for i in (0, 1):
             for j in (0, 1):
-                A[np.ix_((rows + i) % N, (cols + j) % N)] += blk[:, :, i, j]
+                A[np.ix_((rows + i) % N, (cols + j) % N)] += blk[:, :, i, j].T
     blk = inter.self_blocks
     for i in (0, 1):
         for j in (0, 1):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wavegrf.linalg import (SparseSymMatrix, cg_solve, condition_number,
-                            dense_bounds, dense_eigvals, lanczos_extremes,
-                            precondition, sym_function)
+from wavegrf.linalg import (SparseSymMatrix, _require_symmetric, cg_solve,
+                            condition_number, dense_bounds, dense_eigvals,
+                            lanczos_extremes, precondition, sym_function)
 from wavegrf.wavelets import LevelIndexSet
 from scipy import sparse
 
@@ -104,6 +104,17 @@ def test_cg_rejects_nonfinite():
         cg_solve(bad, np.ones(3), tol=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_cg_rejects_inf_where_search_direction_is_zero():
+    """An inf in ``A p`` opposite a zero of ``p`` still reaches ``p^T A p``."""
+    def bad(v):
+        out = v.copy()
+        out[1] = np.inf
+        return out
+    with pytest.raises(FloatingPointError):
+        cg_solve(bad, np.array([1.0, 0.0, 1.0]), tol=1e-10)
+
+
 def test_lanczos_small_exact():
     b = lanczos_extremes(np.diag([1.0, 2.0, 3.0]), 3)
     assert b.lambda_min == pytest.approx(1.0, abs=1e-10)
@@ -148,6 +159,26 @@ def test_sym_function():
         sym_function(np.array([[1.0, 2.0], [0.0, 1.0]]), np.sqrt)
     with pytest.raises(ValueError):
         dense_eigvals(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+def test_symmetry_check_verdicts_match_the_tolerance_test():
+    """The exact-equality fast path of ``_require_symmetric`` accepts and
+    refuses what the tolerance test alone does, NaN and inf included."""
+    def tolerant(M):
+        return np.allclose(M, M.T, atol=1e-12 * max(1.0, np.abs(M).max()))
+    base = np.array([[2.0, 1.0], [1.0, 3.0]])
+    cases = [base, base + [[0.0, 1e-14], [0.0, 0.0]], base + [[0.0, 1.0], [0.0, 0.0]]]
+    for a, b in ((np.inf, np.inf), (np.inf, -np.inf), (np.nan, np.nan), (np.inf, 1.0)):
+        M = base.copy()
+        M[0, 1], M[1, 0] = a, b
+        cases += [M, np.diag([a, 1.0])]
+    for M in cases:
+        if tolerant(M):
+            assert _require_symmetric(M) is M
+        else:
+            with pytest.raises(ValueError):
+                _require_symmetric(M)
 
 
 def test_dense_bounds_of_preconditioned_match_eigvalsh(model):

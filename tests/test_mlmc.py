@@ -9,6 +9,7 @@ from wavegrf.cli import main
 from wavegrf.linalg import SparseSymMatrix
 from wavegrf.mlmc import (CsvSampleSource, GaussianCoefficientSource,
                           error_report, estimate, schedule, write_sample_csv)
+from wavegrf.rng import stream
 
 
 def test_schedule_factor_two_growth():
@@ -210,7 +211,10 @@ def test_column_restricted_draw_is_bit_identical_to_full_draw(model):
     cols = np.r_[m.idx.level_slice(J - 2), m.idx.level_slice(J)]
     for seed in range(8):
         src = GaussianCoefficientSource(C, m.idx, seed)
+        src.draw(J - 1, 50, 2)                  # the reused normals buffer grows
         full = src.draw(J, 20, 3)
+        xi = stream(seed, 3).standard_normal((20, m.idx.p))
+        assert np.array_equal(full, xi @ src._root(J).T)
         assert np.array_equal(src.draw(J, 20, 3, cols), full[:, cols])
         assert np.array_equal(src.draw(J, 20, 3, m.idx.level_slice(J)),
                               full[:, m.idx.level_slice(J)])

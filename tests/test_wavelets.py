@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavegrf import kriging
 from wavegrf.filters import SUPPORTED_PAIRS
 from wavegrf.wavelets import (LevelIndexSet, WaveletSystem, _level_operator,
                               diag_scaling, get_system)
@@ -294,10 +295,68 @@ def test_coarse_impulse_synthesizes_dual_scaling_profile():
     assert np.max(np.abs(field - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
+def _scatter_synthesis(sys_, coeffs, resolution, dual):
+    """Reference grid synthesis, one scatter per tabulated value: grid point
+    ``m = per*(k + start) + i`` receives ``vals[i] * 2^(L/2) * c[k]``."""
+    L = sys_.index_set_for_dim(len(coeffs)).J + 1
+    c = sys_.ifwt_dual(coeffs) if dual else sys_.ifwt(coeffs)
+    sweeps = resolution - L
+    phi, _ = sys_.scaling_values(dual=dual, sweeps=max(sweeps, 1))
+    vals = phi[::1 if sweeps >= 1 else 2]
+    start = sys_.bank.lo_dual.start if dual else -1
+    n, per = 2**resolution, 2**sweeps
+    out = np.zeros(n)
+    scale = 2.0 ** (L / 2.0)
+    ks = np.arange(2**L)
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            continue
+        out[(ks * per + start * per + i) % n] += v * scale * c[ks]
+    return out
+
+
+@pytest.mark.parametrize("dt", [4, 6, 8, 10])
+@pytest.mark.parametrize("p", [64, 512, 2048])
+def test_point_synthesis_equals_scatter_reference(dt, p):
+    """The per-point gather gives the scatter loop's values bit for bit, on
+    the whole grid and at arbitrary (unsorted, repeated, wrapped) positions."""
+    sys_ = get_system(2, dt)
+    L = int(np.log2(p))
+    c = np.random.default_rng(p + dt).standard_normal(p)
+    for res in (L, L + 1, L + 4):
+        for dual in (True, False):
+            ref = _scatter_synthesis(sys_, c, res, dual)
+            assert np.array_equal(sys_.synthesize_on_grid(c, res, dual), ref)
+            n = 2**res
+            pos = np.array([0, n - 1, 5, 3, 5, -1, -n, n, 2 * n + 7])
+            assert np.array_equal(sys_.synthesize_at(c, pos, res, dual), ref[pos % n])
+
+
+@pytest.mark.parametrize("p", [64, 512, 2048])
+def test_predict_at_equals_scatter_reference(model, p):
+    """Kriging prediction reads the snapped targets of the reference grid
+    synthesis: targets at 0, just below 1 (snapping to 0), negative,
+    unsorted and repeated."""
+    curve = model("matern12", 2, 6, p).curve
+    L = int(np.log2(p))
+    mu = np.random.default_rng(p).standard_normal(p)
+    t = np.array([0.0, np.nextafter(1.0, 0.0), -0.3, -1e-9, 0.7, 0.2, 0.7, 0.45])
+    for dt in (4, 6, 8, 10):
+        sys_ = get_system(2, dt)
+        for res in (L, L + 1, None):
+            r = L + 4 if res is None else res
+            pos = np.round((t % 1.0) * 2**r).astype(int) % 2**r
+            want = (_scatter_synthesis(sys_, mu, r, True)[pos]
+                    / curve.weight_t(pos / float(2**r)))
+            assert np.array_equal(kriging.predict_at(sys_, curve, mu, t, res), want)
+
+
 def test_synthesize_resolution_validation():
     sys_ = get_system(2, 6)
     with pytest.raises(ValueError):
         sys_.synthesize_on_grid(np.ones(64), 4)
+    with pytest.raises(ValueError):
+        sys_.synthesize_at(np.ones(64), np.arange(3), 5)
 
 
 def test_j0_too_small_rejected():
