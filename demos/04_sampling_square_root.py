@@ -8,7 +8,7 @@ number, and misjudging that condition number twofold is benign.
 
 import numpy as np
 
-from wavegrf import GrfSampler, build_contour, dense_bounds, synthesize_field
+from wavegrf import GrfSampler, build_contour, dense_bounds
 from wavegrf.linalg import SpectralBounds
 from wavegrf.pipeline import CovarianceModel
 
@@ -27,7 +27,7 @@ for K in (4, 8, 12, 16, 20, 40):
 q = build_contour(dense_bounds(m.preconditioned), 30)
 sampler = GrfSampler(m.tapered, m.idx, m.order.ra, q)
 z = sampler.draw(seed=7)
-field = synthesize_field(m.system, z.coefficients, m.idx.J + 4)
+field = m.system.synthesize_on_grid(z.coefficients, m.idx.J + 4)
 print("\none draw: coefficient vector of length", len(z.coefficients))
 print("synthesized field on a dyadic grid:", field.shape,
       f"range [{field.min():.3f}, {field.max():.3f}]")

@@ -21,6 +21,9 @@ from .curves import CurveSpec
 from .quadrature import gauss_rule
 from .wavelets import WaveletSystem
 
+#: Gauss order of the self-pair triangle rule and of the far-order probe reference
+SELF_ORDER = 8
+
 
 def _kernel_callable(kernel):
     if callable(kernel):
@@ -36,18 +39,17 @@ class CellInteractions:
     The kernel has a kink only across the diagonal s = t, which meets the
     domain only for self pairs; those are split into two triangles on which
     the integrand is one-sidedly smooth and integrated by mapped tensor
-    Gauss panels of order ``q`` (``self_blocks``).  All other pairs
+    Gauss panels of order ``SELF_ORDER`` (``self_blocks``).  All other pairs
     (including adjacent cells, where the diagonal touches just a corner)
     have an analytic integrand and take one plain panel per cell pair, from
     the points and weighted hats of ``panel(m)``.
     """
 
-    def __init__(self, curve: CurveSpec, kernel, level: int, q: int = 8):
+    def __init__(self, curve: CurveSpec, kernel, level: int):
         self.curve = curve
         self.kern = _kernel_callable(kernel)
         self.N = 2**level
         self.h = 1.0 / self.N
-        self.q = q
         self.norm = 2.0 ** (level / 2.0)
 
     def panel(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,7 +89,7 @@ class CellInteractions:
         return out
 
     def far_order(self) -> int:
-        """Lowest plain-panel order that matches order ``q`` to 1e-14 of the
+        """Lowest plain-panel order that matches ``SELF_ORDER`` to 1e-14 of the
         largest entry on a probe of three pairs per cell: the adjacent one
         (the Gauss error is largest there or nearly so on a smooth arc), the
         one N/4 cells on (for kernels whose error is flat in the separation)
@@ -96,12 +98,12 @@ class CellInteractions:
         cells = np.arange(self.N)
         partners = np.stack([(cells + 1) % self.N, (cells + max(1, self.N // 4)) % self.N,
                              self.folded_partners()])
-        ref = self.pair_blocks(self.q, partners)
+        ref = self.pair_blocks(SELF_ORDER, partners)
         tol = 1e-14 * np.abs(ref).max()
-        for m in range(1, self.q):
+        for m in range(1, SELF_ORDER):
             if np.abs(self.pair_blocks(m, partners) - ref).max() <= tol:
                 return m
-        return self.q
+        return SELF_ORDER
 
     # -- self pairs: two smooth triangles ------------------------------------
     @cached_property
@@ -112,7 +114,7 @@ class CellInteractions:
         With ``T[i,j]`` the upper triangle (t > s), the lower one equals
         ``T[j,i]`` by symmetry of the integrand.
         """
-        x, w = gauss_rule(self.q)
+        x, w = gauss_rule(SELF_ORDER)
         cells = np.arange(self.N)
         ts = (cells[:, None] + x[None, :]) * self.h     # s in [0, 1]
         ps, us = self.curve.xy_weight_t(ts)                                 # (N, q, 2)
@@ -131,20 +133,19 @@ class CellInteractions:
         return acc
 
 
-def assemble_single_scale(curve: CurveSpec, kernel, J: int, j0: int = 2,
-                          q: int = 8) -> np.ndarray:
+def assemble_single_scale(curve: CurveSpec, kernel, J: int) -> np.ndarray:
     """Dense single-scale Galerkin matrix spanning the space of ``Lambda_J``.
 
     The hat basis lives at level ``L = J + 1`` (dimension ``p = N = 2**L``).
-    Self pairs take the order-``q`` triangle rule, every other cell pair one
-    plain panel of order ``m = far_order() <= q``; ``Phi`` is the sparse
+    Self pairs take the ``SELF_ORDER`` triangle rule, every other cell pair
+    one plain panel of order ``m = far_order() <= SELF_ORDER``; ``Phi`` is the sparse
     (N m x N) map from those points to hats.  Row chunks of at most 16 cells
     c add ``Phi^T K Phi`` over the pairs c < c' to ``B``, self pairs add half
     their blocks, and the result ``B + B^T`` is symmetric by construction.
     """
-    if J < j0:
-        raise ValueError("need J >= j0")
-    inter = CellInteractions(curve, kernel, J + 1, q=q)
+    if J < 2:
+        raise ValueError("need J >= 2")
+    inter = CellInteractions(curve, kernel, J + 1)
     m = inter.far_order()
     pts, uwb = inter.panel(m)
     N, cells, pt = inter.N, np.arange(inter.N), np.arange(inter.N * m)

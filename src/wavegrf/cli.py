@@ -23,8 +23,8 @@ from .compression import aposteriori_threshold, sparsity_report
 from .filters import SUPPORTED_PAIRS, build_filter_bank
 from .kernels import KERNEL_NAMES
 from .linalg import SpectralBounds, condition_number, dense_eigvals
-from .pipeline import CovarianceModel, default_wavelet_for
-from .sampling import build_contour, synthesize_field
+from .pipeline import CovarianceModel
+from .sampling import build_contour
 
 
 class ConfigError(ValueError):
@@ -54,13 +54,11 @@ def _outdir(cfg) -> Path:
 
 
 def _model(cfg, kernel=None, wavelet=None, p=None) -> CovarianceModel:
-    kernel = kernel or cfg.get("kernel", "matern12")
-    if kernel not in KERNEL_NAMES:
-        raise ConfigError(f"unknown kernel {kernel!r}")
-    wavelet = tuple(wavelet or cfg.get("wavelet") or default_wavelet_for(kernel))
-    if wavelet not in SUPPORTED_PAIRS:
-        raise ConfigError(f"unsupported wavelet pair {wavelet}")
-    p = int(p or cfg.get("p", 256))
+    """The model of ``cfg``; ``CovarianceModel`` checks the kernel and the
+    wavelet pair and picks the kernel's default pair."""
+    kernel = cfg.get("kernel", "matern12") if kernel is None else kernel
+    wavelet = cfg.get("wavelet") if wavelet is None else wavelet
+    p = int(cfg.get("p", 256) if p is None else p)
     if p & (p - 1) or p < 8:
         raise ConfigError(f"p must be a power of two >= 8, got {p}")
     comp = cfg.get("compression", {})
@@ -75,6 +73,13 @@ def _model(cfg, kernel=None, wavelet=None, p=None) -> CovarianceModel:
         raise ConfigError(str(e)) from e
 
 
+def _list(cfg, key, default) -> list:
+    value = cfg.get(key, default)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+    return value
+
+
 # -- subcommands -----------------------------------------------------------
 
 def cmd_tables(cfg) -> None:
@@ -82,8 +87,8 @@ def cmd_tables(cfg) -> None:
     kernel = cfg.get("kernel", "matern12")
     if kernel not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {kernel!r}")
-    families = [tuple(f) for f in cfg.get("families", _default_families(kernel))]
-    p_list = cfg.get("p_list", [32, 64, 128, 256, 512, 1024])
+    families = [tuple(f) for f in _list(cfg, "families", _default_families(kernel))]
+    p_list = _list(cfg, "p_list", [32, 64, 128, 256, 512, 1024])
     rows = {"p": [], "level": [], "single_scale_cond": []}
     for d, dt in families:
         rows[f"nnz_pct_{d}{dt}"] = []
@@ -111,11 +116,10 @@ def _default_families(kernel: str):
 def cmd_decay(cfg) -> None:
     """Diagonal entries and per-level means of the wavelet-coordinate matrix."""
     out = _outdir(cfg)
-    kernels_ = cfg.get("kernels", ["matern12", "matern32", "matern52"])
+    kernels_ = _list(cfg, "kernels", ["matern12", "matern32", "matern52"])
     p = int(cfg.get("p", 512))
     for kname in kernels_:
-        m = _model(cfg, kernel=kname, wavelet=cfg.get("wavelet") or
-                   default_wavelet_for(kname), p=p)
+        m = _model(cfg, kernel=kname, p=p)
         diag = np.diag(m.wavelet_dense)
         lev = m.idx.level_of_position()
         means = [float(np.mean(diag[m.idx.level_slice(j)])) for j in m.idx.levels]
@@ -134,7 +138,7 @@ def cmd_decay(cfg) -> None:
 def cmd_corrlen(cfg) -> None:
     """A-priori vs a-posteriori compression across correlation lengths."""
     kernel = cfg.get("kernel", "matern12")
-    ells = cfg.get("ells", [0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0])
+    ells = _list(cfg, "ells", [0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0])
     delta = float(cfg.get("delta", 1e-6))
     p = int(cfg.get("p", 256))
     rows = {"ell": [], "apriori_nnz_pct": [], "aposteriori_nnz_pct": []}
@@ -156,7 +160,7 @@ def cmd_sqrt_bench(cfg) -> None:
     """Square-root error versus node count, with mis-estimated conditioning."""
     p = int(cfg.get("p", 1024))
     m = _model(cfg, p=p)
-    Ks = cfg.get("K_list", [1, 5, 10, 15, 20, 25, 30, 40, 50, 60])
+    Ks = _list(cfg, "K_list", [1, 5, 10, 15, 20, 25, 30, 40, 50, 60])
     ev = dense_eigvals(m.preconditioned)
     sq = np.sqrt(ev)
     scale = float(np.max(sq))
@@ -190,7 +194,7 @@ def cmd_sample(cfg) -> None:
     io.write_csv(out / "sample_coeffs.csv",
                  {f"sample{i}": Z[i] for i in range(count)}, meta)
     res = int(cfg.get("resolution", m.idx.J + 3))
-    fields = {f"sample{i}": synthesize_field(m.system, Z[i], res)
+    fields = {f"sample{i}": m.system.synthesize_on_grid(Z[i], res)
               for i in range(count)}
     grid = np.arange(2**res) / 2**res
     io.write_csv(out / "sample_fields.csv", {"t": grid} | fields, meta)
@@ -202,9 +206,7 @@ def cmd_mlmc(cfg) -> None:
     runs = int(cfg.get("runs", 10))
     if runs < 1:
         raise ConfigError(f"runs must be at least 1, got {runs}")
-    p_list = cfg.get("p_list", [8, 16, 32, 64, 128, 256, 512])
-    if not p_list:
-        raise ConfigError("p_list must name at least one dimension")
+    p_list = _list(cfg, "p_list", [8, 16, 32, 64, 128, 256, 512])
     M_finest = int(cfg.get("M_finest", 100))
     seed = int(cfg["seed"])
     rows = {"p": [], "level": [], "M_coarse": [], "op_error": [],
@@ -250,10 +252,12 @@ def cmd_krige(cfg) -> None:
     out = _outdir(cfg)
     obs_file = cfg.get("observations")
     if obs_file:
-        raw = io.read_csv(obs_file)
-        obs = kriging.ObservationSet(centers=raw["center"], widths=raw["width"],
-                                     sigma2=sigma2, values=raw["value"])
-        y = np.asarray(obs.values)
+        try:
+            raw = io.read_csv(obs_file)
+            centers, widths, y = raw["center"], raw["width"], raw["value"]
+        except (OSError, KeyError, IndexError) as e:       # no file, column or header
+            raise ConfigError(f"bad observations file {obs_file}: {e!r}") from e
+        obs = kriging.ObservationSet(centers=centers, widths=widths, sigma2=sigma2)
     else:
         obs = kriging.equispaced_observations(K, width, sigma2)
     om = kriging.build_observation_matrix(m.system, obs, m.idx.J, m.curve)

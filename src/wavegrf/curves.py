@@ -19,6 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+#: equispaced parameter points of the positivity check, the diameter search
+#: and the chord bounds
+GRID = 4096
 
 #: radius Fourier coefficients of the experiment boundary, index -5..5
 BOUNDARY_COEFFS = {
@@ -57,7 +60,7 @@ class CurveSpec:
         if self.kind == "circle" and self.radius <= 0:
             raise ValueError("circle radius must be positive")
         if self.kind == "fourier":
-            g = self.radius_at(np.linspace(0.0, TWO_PI, 4096, endpoint=False))
+            g = self.radius_at(np.linspace(0.0, TWO_PI, GRID, endpoint=False))
             if np.min(g) <= 0:
                 raise ValueError("radius function must stay positive")
 
@@ -73,11 +76,8 @@ class CurveSpec:
             g = g + 0.01 * (b[k - 1] * np.sin(k * phi) + a[k] * np.cos(k * phi))
         return g
 
-    def radius_deriv(self, phi):
-        return self.radius_and_deriv(phi)[1]
-
     def radius_and_deriv(self, phi):
-        """``(radius_at(phi), radius_deriv(phi))``, each sin(k phi), cos(k phi) once."""
+        """``(g(phi), g'(phi))``, each sin(k phi), cos(k phi) once."""
         phi = np.asarray(phi, dtype=float)
         if self.kind == "circle":
             return np.full_like(phi, self.radius), np.zeros_like(phi)
@@ -122,13 +122,13 @@ def distance(curve: CurveSpec, phi1, phi2):
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def _golden_max(f, lo, hi, tol=1e-12, iters=200):
+def _golden_max(f, lo, hi, tol):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(200):
         if b - a < tol:
             break
         if fc > fd:
@@ -166,28 +166,28 @@ def _farthest_grid_pair(x, y) -> tuple[int, int, float]:
     return int(i[t]), int(j[t]), float(d2[t])
 
 
-def diameter(curve: CurveSpec, grid: int = 4096, rtol: float = 1e-10) -> float:
-    """Max chordal distance: the farthest pair of ``grid`` equispaced points,
-    refined by coordinate-wise golden-section search.
+def diameter(curve: CurveSpec) -> float:
+    """Max chordal distance: the farthest pair of ``GRID`` equispaced points,
+    refined by coordinate-wise golden-section search to 1e-10 relative.
 
     That pair is antipodal on the hull (Shamos).  Star-shaped curve points come
     in angular order, so passes dropping each vertex not turning strictly left
     leave the hull; each hull vertex meets the cyclic range of vertices whose
     normal cones hold the opposite of its own, with one of margin per side:
-    about 4 pairs per vertex.  O(grid) memory, and O(grid) work per hull pass
+    about 4 pairs per vertex.  O(GRID) memory, and O(GRID) work per hull pass
     (one pass if the curve is convex).  Exact ties keep the first ``i <= j``
     in lexicographic order, as a row-order upper-triangle scan does.
     """
-    phi = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    phi = np.linspace(0.0, TWO_PI, GRID, endpoint=False)
     bi, bj, best = _farthest_grid_pair(*curve.xy(phi).T)
     if best <= 0.0:
         raise ValueError("degenerate curve: zero diameter")
-    h, p = TWO_PI / grid, [phi[bi], phi[bj]]
+    h, p = TWO_PI / GRID, [phi[bi], phi[bj]]
     for _ in range(4):
         for e in (0, 1):         # move end e; the other end's point is fixed
             q = curve.xy(p[1 - e])
             p[e] = _golden_max(lambda a: float(np.sqrt(np.sum((curve.xy(a) - q) ** 2))),
-                               p[e] - h, p[e] + h, tol=rtol * TWO_PI)
+                               p[e] - h, p[e] + h, tol=1e-10 * TWO_PI)
     return float(distance(curve, *p))
 
 
@@ -198,15 +198,15 @@ def normalize_to_unit_diameter(curve: CurveSpec) -> CurveSpec:
     return replace(curve, scale=curve.scale / d)
 
 
-def circle(radius: float = 1.0, scale: float = 1.0) -> CurveSpec:
-    return CurveSpec(kind="circle", radius=radius, scale=scale)
+def circle(radius: float) -> CurveSpec:
+    return CurveSpec(kind="circle", radius=radius)
 
 
-def paper_boundary(scale: float = 1.0) -> CurveSpec:
+def paper_boundary() -> CurveSpec:
     """The analytic test boundary preset used by the experiment suite."""
     a = tuple(BOUNDARY_COEFFS[k] for k in range(0, 6))
     b = tuple(BOUNDARY_COEFFS[-k] for k in range(1, 6))
-    return CurveSpec(kind="fourier", cos_coeffs=a, sin_coeffs=b, scale=scale)
+    return CurveSpec(kind="fourier", cos_coeffs=a, sin_coeffs=b)
 
 
 CURVE_PRESETS = {
@@ -243,8 +243,8 @@ class ChordBounds:
     computations in pattern construction.
     """
 
-    def __init__(self, curve: CurveSpec, grid: int = 4096):
-        phi = np.linspace(0.0, TWO_PI, grid, endpoint=False)
+    def __init__(self, curve: CurveSpec):
+        phi = np.linspace(0.0, TWO_PI, GRID, endpoint=False)
         r = curve.scale * curve.radius_at(phi)
         if np.min(r) <= 0:
             raise ValueError("chord bounds require a star-shaped curve")

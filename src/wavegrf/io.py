@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy import io as spio
-from scipy import sparse
 
 from . import __version__
 
@@ -65,10 +64,7 @@ def read_csv(path) -> dict:
 def write_matrix_market(path, matrix, meta: dict | None = None) -> Path:
     path = Path(path)
     comment = "\n".join(f"{k}: {v}" for k, v in (meta or {}).items())
-    if sparse.issparse(matrix):
-        spio.mmwrite(str(path), matrix.tocoo(), comment=comment, symmetry="general")
-    else:
-        spio.mmwrite(str(path), np.asarray(matrix), comment=comment)
+    spio.mmwrite(str(path), matrix.tocoo(), comment=comment, symmetry="general")
     return path
 
 

@@ -24,6 +24,9 @@ SUPPORTED_NU = (0.5, 1.5, 2.5)
 
 KERNEL_NAMES = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
 
+#: largest eigenvalue tail a CircleSpectrum may drop
+TAIL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class OperatorOrder:
@@ -51,12 +54,12 @@ class KernelSpec:
         return {0.5: "matern12", 1.5: "matern32", 2.5: "matern52"}[self.nu]
 
 
-def kernel_from_name(name: str, ell: float = 1.0, sigma2: float = 1.0) -> KernelSpec:
+def kernel_from_name(name: str, ell: float = 1.0) -> KernelSpec:
     try:
         nu = KERNEL_NAMES[name]
     except KeyError:
         raise ValueError(f"unknown kernel {name!r}; options: {sorted(KERNEL_NAMES)}") from None
-    return KernelSpec(nu=nu, ell=ell, sigma2=sigma2)
+    return KernelSpec(nu=nu, ell=ell)
 
 
 def eval_kernel(spec: KernelSpec, z):
@@ -75,11 +78,9 @@ def eval_kernel(spec: KernelSpec, z):
     return spec.sigma2 * val
 
 
-def operator_order(spec: KernelSpec, n: int = 1) -> OperatorOrder:
-    """Pseudodifferential order of the covariance operator on an n-manifold."""
-    if n != 1:
-        raise ValueError("only curves (n = 1) are supported")
-    r = -(2.0 * spec.nu + n)
+def operator_order(spec: KernelSpec) -> OperatorOrder:
+    """Pseudodifferential order of the covariance operator on a curve (n = 1)."""
+    r = -(2.0 * spec.nu + 1)
     return OperatorOrder(r=r, ra=-r / 2.0)
 
 
@@ -90,7 +91,7 @@ class CircleSpectrum:
     Fourier modes with eigenvalues ``lam_m = (kappa^2 + m^2)^(-2 beta)``.
     """
 
-    def __init__(self, kappa: float, beta: float, modes: int, tail_tol: float = 1e-12):
+    def __init__(self, kappa: float, beta: float, modes: int):
         if kappa <= 0 or beta <= 0:
             raise ValueError("kappa and beta must be positive")
         if 4.0 * beta <= 1.0:
@@ -99,10 +100,10 @@ class CircleSpectrum:
         self.beta = beta
         self.modes = int(modes)
         tail = self.tail_bound(modes)
-        if tail >= tail_tol:
+        if tail >= TAIL_TOL:
             raise ValueError(
-                f"eigenvalue tail {tail:.3e} above tolerance {tail_tol:.1e}; "
-                f"need at least M = {self.required_modes(kappa, beta, tail_tol)} modes")
+                f"eigenvalue tail {tail:.3e} above tolerance {TAIL_TOL:.1e}; "
+                f"need at least M = {self.required_modes(kappa, beta, TAIL_TOL)} modes")
 
     def tail_bound(self, M: int) -> float:
         # sum_{|m|>M} lam_m <= 2 int_M^inf x^(-4 beta) dx

@@ -27,6 +27,9 @@ from .curves import CurveSpec
 from .linalg import CgResult, cg_solve, dense_eigvals
 from .wavelets import WaveletSystem
 
+#: dyadic refinements of a fine cell in the observation quadrature
+OVERSAMPLE = 6
+
 
 @dataclass(frozen=True)
 class ObservationSet:
@@ -35,7 +38,6 @@ class ObservationSet:
     centers: np.ndarray            # parameter positions in [0, 1)
     widths: np.ndarray             # parameter widths
     sigma2: float
-    values: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=float) % 1.0
@@ -65,28 +67,16 @@ class ObservationSet:
     def K(self) -> int:
         return len(self.centers)
 
-    def norms(self, curve: CurveSpec, samples: int = 256) -> np.ndarray:
-        """L2 norms of the functionals against the surface measure, 1/sqrt(mass)."""
-        out = np.empty(self.K)
-        for i, (c, w) in enumerate(zip(self.centers, self.widths)):
-            t = (c - w / 2.0 + np.linspace(0, 1, samples, endpoint=False) * w) % 1.0
-            mass = float(np.mean(curve.weight_t(t)) * w)
-            out[i] = 1.0 / np.sqrt(mass)
-        return out
 
-
-def equispaced_observations(K: int, width: float, sigma2: float,
-                            values=None) -> ObservationSet:
+def equispaced_observations(K: int, width: float, sigma2: float) -> ObservationSet:
     centers = (np.arange(K) + 0.5) / K
-    return ObservationSet(centers=centers, widths=np.full(K, width),
-                          sigma2=sigma2, values=values)
+    return ObservationSet(centers=centers, widths=np.full(K, width), sigma2=sigma2)
 
 
 @dataclass
 class ObservationMatrix:
     G_single: sparse.csr_matrix     # K x N against the dual single-scale basis
     G: sparse.csr_matrix            # K x p against the dual wavelets, O(K log p) nnz
-    level: int
 
     @property
     def K(self) -> int:
@@ -94,8 +84,7 @@ class ObservationMatrix:
 
 
 def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
-                             J: int, curve: CurveSpec | None = None,
-                             oversample: int = 6) -> ObservationMatrix:
+                             J: int, curve: CurveSpec | None = None) -> ObservationMatrix:
     """Pairings of the observation functionals with the dual basis.
 
     Single-scale entries are composite trapezoid quadratures of the
@@ -111,8 +100,8 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     if np.any(obs.widths < 2.0 ** (-L)):
         raise ValueError("observation width below one fine-level cell; "
                          "refine J or widen the functionals")
-    phi, _ = system.scaling_values(dual=True, sweeps=oversample)
-    per = 2**oversample
+    phi, _ = system.scaling_values(dual=True, sweeps=OVERSAMPLE)
+    per = 2**OVERSAMPLE
     tau = 2.0 ** (-L) / per                      # quadrature step
     # phi_{L,k}(t_n) = 2^{L/2} phi(n/per - k), tabulated index n - per*k - lo
     lo, n_tab = system.bank.lo_dual.start * per, len(phi)
@@ -135,7 +124,7 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     rows, cols, vals = pbox[keep], k[keep] % N, vals[keep]
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
     G = sparse.csr_matrix(system.fwt(G_single.T.toarray()).T)   # drops exact zeros only
-    return ObservationMatrix(G_single=G_single, G=G, level=L)
+    return ObservationMatrix(G_single=G_single, G=G)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray):
@@ -166,7 +155,7 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    y: np.ndarray, sigma2: float,
                    cg_tol: float = 1e-10) -> tuple[np.ndarray, CgResult]:
     """Kriging coefficients ``mu`` in dual coordinates and the CG record;
-    ``system`` is unused here and in ``gram_matrix``."""
+    ``system`` is unused."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     y = np.asarray(y, dtype=float)
@@ -185,8 +174,7 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
     return C @ G.T @ np.linalg.solve(M, np.asarray(y, dtype=float))
 
 
-def gram_matrix(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
-                sigma2: float) -> np.ndarray:
+def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
     K = obsmat.K
     if K > 2048:
         raise ValueError("dense Gram assembly capped at K = 2048")
@@ -194,7 +182,7 @@ def gram_matrix(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
 
 
 def gram_condition(Ceps, obsmat: ObservationMatrix, sigma2: float) -> float:
-    ev = dense_eigvals(gram_matrix(Ceps, obsmat, None, sigma2))
+    ev = dense_eigvals(gram_matrix(Ceps, obsmat, sigma2))
     return float(ev[-1] / ev[0])
 
 

@@ -91,8 +91,8 @@ def _as_apply(A):
     return lambda x: M @ x
 
 
-def cg_solve(A, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
-             track_error=None) -> CgResult:
+def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
+             max_iter: int | None = None) -> CgResult:
     """Conjugate gradients with residual stopping ``|r| <= tol |b|``.
 
     ``converged`` and ``residual`` report the true residual ``b - A x``. It
@@ -100,7 +100,6 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
     eps that one drifts from it and underflows), or at ``max_iter``; above
     ``tol |b|`` it replaces the recursive one and the search restarts.
     Raises on non-finite values or on indefinite curvature (p^T A p <= 0).
-    ``track_error`` is an optional callback receiving the iterate each step.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -138,8 +137,6 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12, max_iter: int | None = None,
         p = r + (rs_new / rs) * p
         rs = rs_new
         it += 1
-        if track_error is not None:
-            track_error(x)
     return CgResult(x, it, np.sqrt(rs) <= tol * bn, float(np.sqrt(rs) / bn))
 
 

@@ -11,7 +11,7 @@ taper pattern only.  Dense level roots are cached per covariance content.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -160,7 +160,6 @@ class MlmcEstimate:
     block_counts: dict
     work: int
     seed: int
-    diagnostics: dict = field(default_factory=dict)
 
 
 def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
@@ -205,8 +204,7 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
     r, c, v = (np.concatenate(x) for x in zip(*parts))
     M = sparse.csr_matrix((v, (r, c)), shape=(idx.p, idx.p))
     return MlmcEstimate(matrix=SparseSymMatrix(M), block_counts=block_counts,
-                        work=sched.work(), seed=seed,
-                        diagnostics={"regime": sched.regime})
+                        work=sched.work(), seed=seed)
 
 
 def error_report(est: MlmcEstimate, truth: np.ndarray, idx: LevelIndexSet) -> dict:

@@ -28,21 +28,17 @@ _single_scale = lru_cache(maxsize=16)(assembly.assemble_single_scale)
 
 
 class CovarianceModel:
-    """All derived objects for one (curve, kernel, wavelet family, J) choice."""
+    """All derived objects for one (curve, kernel, wavelet family, p) choice."""
 
-    def __init__(self, kernel="matern12", wavelet: tuple[int, int] | None = None,
-                 J: int | None = None, p: int | None = None,
-                 curve: curves.CurveSpec | str | dict = "paper-boundary",
+    def __init__(self, kernel="matern12", wavelet: tuple[int, int] | None = None, *,
+                 p: int, curve: curves.CurveSpec | str | dict = "paper-boundary",
                  ell: float = 1.0, a: float = 2.0, a_prime: float = 2.0,
                  dprime: float | None = None, normalize_curve: bool = True):
         self.kernel = (kernel if isinstance(kernel, kernels.KernelSpec)
                        else kernels.kernel_from_name(kernel, ell=ell))
         d, dt = wavelet if wavelet is not None else default_wavelet_for(self.kernel.name)
         self.system = wavelets.get_system(d, dt)
-        if (J is None) == (p is None):
-            raise ValueError("give exactly one of J (finest level) or p (dimension)")
-        self.idx = (self.system.index_set(J) if J is not None
-                    else self.system.index_set_for_dim(p))
+        self.idx = self.system.index_set_for_dim(p)
         base = curve if isinstance(curve, curves.CurveSpec) else curves.from_config(curve)
         self.curve = curves.normalize_to_unit_diameter(base) if normalize_curve else base
         self.order = kernels.operator_order(self.kernel)
@@ -101,9 +97,6 @@ class CovarianceModel:
 
 
 @lru_cache(maxsize=32)
-def cached_model(kernel: str, d: int, dt: int, p: int,
-                 curve_preset: str = "paper-boundary", ell: float = 1.0,
-                 a: float = 2.0, a_prime: float = 2.0) -> CovarianceModel:
-    """Memoized models, shared by the test-suite and repeated CLI calls."""
-    return CovarianceModel(kernel=kernel, wavelet=(d, dt), p=p,
-                           curve=curve_preset, ell=ell, a=a, a_prime=a_prime)
+def cached_model(kernel: str, d: int, dt: int, p: int) -> CovarianceModel:
+    """Memoized models on the paper boundary, shared by the test-suite."""
+    return CovarianceModel(kernel=kernel, wavelet=(d, dt), p=p)

@@ -17,14 +17,14 @@ c+/c-.  A field sample is then ``z = D^-ra S_K xi`` with standard normal
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
 from .linalg import SpectralBounds, cg_solve, precondition, sym_function, _as_apply
-from .wavelets import LevelIndexSet, WaveletSystem, diag_scaling
+from .wavelets import LevelIndexSet, diag_scaling
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class GrfSample:
     coefficients: np.ndarray
     seed: int
     sample_index: int
-    meta: dict = field(default_factory=dict)
 
 
 class GrfSampler:
@@ -118,14 +117,8 @@ class GrfSampler:
                  contour: ContourQuadrature, method: str = "dense",
                  cg_tol: float = 1e-12):
         self.idx = idx
-        self.ra = ra
         self.contour = contour
-        self.method = method
         self.cg_tol = cg_tol
-        self.meta = {
-            "J": idx.J, "j0": idx.j0, "K": contour.K,
-            "cond_estimate": contour.c_plus / contour.c_minus,
-        }
         self.R = precondition(Ceps, idx, ra)
         self.dinv = diag_scaling(idx, -ra)
         self._op = None
@@ -141,27 +134,16 @@ class GrfSampler:
 
     def draw(self, seed: int, sample_index: int = 0) -> GrfSample:
         xi = rng.standard_normal(seed, sample_index, self.idx.p)
-        z = self._apply(xi)
-        meta = dict(self.meta, seed=seed, sample_index=sample_index)
-        return GrfSample(z, seed, sample_index, meta)
+        return GrfSample(self._apply(xi), seed, sample_index)
 
-    def draw_matrix(self, seed: int, count: int, first_index: int = 0) -> np.ndarray:
-        """(count, p) array of samples with indices first_index + i."""
+    def draw_matrix(self, seed: int, count: int) -> np.ndarray:
+        """(count, p) array of the samples with indices 0, ..., count - 1."""
         if self._op is not None:
-            xi = np.stack([rng.standard_normal(seed, first_index + i, self.idx.p)
-                           for i in range(count)])
+            xi = np.stack([rng.standard_normal(seed, i, self.idx.p) for i in range(count)])
             return xi @ self._op.T
-        return np.stack([self.draw(seed, first_index + i).coefficients
-                         for i in range(count)])
+        return np.stack([self.draw(seed, i).coefficients for i in range(count)])
 
     def _apply(self, xi: np.ndarray) -> np.ndarray:
         if self._op is not None:
             return self._op @ xi
         return self.dinv * apply_sqrt(self.R, self.contour, xi, self.cg_tol)
-
-
-def synthesize_field(system: WaveletSystem, coefficients: np.ndarray,
-                     resolution: int) -> np.ndarray:
-    """Field values ``sum_lam z_lam dual_lam(t)`` on the dyadic grid 2^-resolution."""
-    return system.synthesize_on_grid(np.asarray(coefficients, dtype=float),
-                                     resolution, dual=True)

@@ -138,12 +138,6 @@ class WaveletSystem:
     def index_set_for_dim(self, p: int) -> LevelIndexSet:
         return index_set_for_dim(p, self.j0)
 
-    def _check_len(self, n: int) -> int:
-        J = int(np.log2(n)) - 1
-        if 2 ** (J + 1) != n or J < self.j0:
-            raise ValueError(f"vector length {n} is not 2**(J+1) with J >= j0")
-        return J
-
     # -- transforms --------------------------------------------------------
     def fwt(self, values: np.ndarray) -> np.ndarray:
         """Single-scale coefficients -> spline-wavelet coefficients."""
@@ -163,7 +157,7 @@ class WaveletSystem:
 
     def _transform(self, values: np.ndarray, kind: str, synthesis: bool) -> np.ndarray:
         x = np.array(values, dtype=float, order="C")
-        J = self._check_len(x.shape[0])
+        J = self.index_set_for_dim(x.shape[0]).J
         for j in range(self.j0 + 1, J + 1) if synthesis else range(J, self.j0, -1):
             n = 2 ** (j + 1)
             x[:n] = _level_operator(self.d, self.dt, kind, n, synthesis) @ x[:n]
@@ -258,7 +252,7 @@ class WaveletSystem:
         With ``dual=True`` this realizes the field expansion in the dual
         family.  ``resolution`` must be at least the single-scale level.
         """
-        L = self._check_len(np.asarray(coeffs).shape[0]) + 1
+        L = self.index_set_for_dim(np.asarray(coeffs).shape[0]).J + 1
         if resolution < L:
             raise ValueError(f"resolution 2^-{resolution} too coarse for level {L}")
         c = self.ifwt_dual(coeffs) if dual else self.ifwt(coeffs)
@@ -283,5 +277,5 @@ class WaveletSystem:
 
 
 @lru_cache(maxsize=16)
-def get_system(d: int, dt: int, j0: int | None = None) -> WaveletSystem:
-    return WaveletSystem(d, dt, j0)
+def get_system(d: int, dt: int) -> WaveletSystem:
+    return WaveletSystem(d, dt)

@@ -270,7 +270,7 @@ def test_criterion_09_kriging(core):
     oracle = posterior_mean_dense(m.tapered.to_dense(), om.G, y, sigma2)
     rel = np.linalg.norm(mu - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8
-    ev = dense_eigvals(gram_matrix(m.tapered, om, m.system, sigma2))
+    ev = dense_eigvals(gram_matrix(m.tapered, om, sigma2))
     assert ev[0] >= sigma2 - 1e-12
     # CG iteration counts stay flat across resolutions
     iters = []

@@ -12,7 +12,7 @@ def unit_circle():
 
 def test_constant_kernel_is_rank_one(unit_circle):
     """With kernel = 1 the matrix separates: A = v v^T, v_k = int phi_k w."""
-    A = assemble_single_scale(unit_circle, lambda z: np.ones_like(z), 4, j0=2)
+    A = assemble_single_scale(unit_circle, lambda z: np.ones_like(z), 4)
     ev = np.linalg.eigvalsh(A)
     assert abs(ev[-2]) <= 1e-12 * ev[-1]
     N = 32
@@ -29,21 +29,23 @@ def test_symmetry_exact(unit_circle):
     assert np.array_equal(A, A.T)
 
 
-def test_refined_quadrature_oracle_on_circle(unit_circle):
+def test_refined_quadrature_oracle_on_circle(unit_circle, monkeypatch):
     """Standard settings agree with a much finer quadrature to 1e-8."""
     kern = kernels.KernelSpec(0.5, 1.0)
-    A = assemble_single_scale(unit_circle, kern, 4, q=8)
-    A_fine = assemble_single_scale(unit_circle, kern, 4, q=16)
+    A = assemble_single_scale(unit_circle, kern, 4)
+    monkeypatch.setattr(assembly, "SELF_ORDER", 16)
+    A_fine = assemble_single_scale(unit_circle, kern, 4)
     assert np.abs(A - A_fine).max() <= 1e-8 * np.abs(A_fine).max()
 
 
 @pytest.mark.parametrize("nu,tol", [(0.5, 1e-7), (1.5, 1e-9), (2.5, 1e-9)])
 # tolerances are the contract ceilings; the panel rule is converged far below
-def test_quadrature_convergence_in_order(unit_circle, nu, tol):
+def test_quadrature_convergence_in_order(unit_circle, nu, tol, monkeypatch):
     """Doubling the Gauss order changes entries below the stated level."""
     kern = kernels.KernelSpec(nu, 1.0)
-    A8 = assemble_single_scale(unit_circle, kern, 4, q=8)
-    A16 = assemble_single_scale(unit_circle, kern, 4, q=16)
+    A8 = assemble_single_scale(unit_circle, kern, 4)
+    monkeypatch.setattr(assembly, "SELF_ORDER", 16)
+    A16 = assemble_single_scale(unit_circle, kern, 4)
     assert np.abs(A8 - A16).max() <= tol
 
 
@@ -74,7 +76,7 @@ def test_wavelet_diagonal_level_decay(model):
         assert a / b == pytest.approx(4.0, rel=0.2)
 
 
-def test_far_field_entry_smallness_and_level_scaling():
+def test_far_field_entry_smallness_and_level_scaling(monkeypatch):
     """Disjoint-support entries obey the vanishing-moment estimate.
 
     For these analytic kernels the far-field entries sit many orders below
@@ -88,13 +90,14 @@ def test_far_field_entry_smallness_and_level_scaling():
     kern = kernels.KernelSpec(0.5, 1.0)
     dt = 4
     maxima = {}
+    monkeypatch.setattr(assembly, "SELF_ORDER", 10)
     for J in (4, 5, 6):
         idx = sys_.index_set(J)
         n = idx.level_sizes[J]
         h = 2.0 ** (-J)
         sl = idx.level_slice(J)
         ks = [kp for kp in range(n) if min(kp % n, (-kp) % n) * h - 5 * h > 0.05]
-        S = to_wavelet_coordinates(sys_, assemble_single_scale(curve, kern, J, q=10))
+        S = to_wavelet_coordinates(sys_, assemble_single_scale(curve, kern, J))
         vals = np.array([abs(S[sl.start, sl.start + kp]) for kp in ks])
         maxima[J] = vals.max()
         # absolute smallness at the moment scale (constant accounts for the
@@ -127,11 +130,12 @@ def test_fused_radius_series_gives_the_separate_floats():
         assert np.array_equal(g, curve.radius_at(phi)) and np.array_equal(dg, ref)
 
 
-def _einsum_reference(curve, kernel, J, q=8):
-    """Full-grid assembly: every cell pair at order q, eight row cells at a
-    time; squared distances from two outer differences, the hat weights
+def _einsum_reference(curve, kernel, J):
+    """Full-grid assembly: every cell pair at order q = 8, eight row cells at
+    a time; squared distances from two outer differences, the hat weights
     contracted by two matmuls."""
-    inter = assembly.CellInteractions(curve, kernel, J + 1, q=q)
+    q = 8
+    inter = assembly.CellInteractions(curve, kernel, J + 1)
     pts, uwb = inter.panel(q)
     N = inter.N
     x, y = pts[..., 0].ravel(), pts[..., 1].ravel()
@@ -223,7 +227,7 @@ def test_far_order_probe_pairs_across_a_neck():
 
 def test_assembly_rejects_bad_level(unit_circle):
     with pytest.raises(ValueError):
-        assemble_single_scale(unit_circle, kernels.KernelSpec(0.5, 1.0), 1, j0=2)
+        assemble_single_scale(unit_circle, kernels.KernelSpec(0.5, 1.0), 1)
 
 
 def test_transform_requires_square():

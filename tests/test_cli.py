@@ -139,6 +139,35 @@ def test_mlmc_rejects_empty_p_list(tmp_path, capsys):
     assert not (out / "mlmc_errors.csv").exists()
 
 
+@pytest.mark.parametrize("cmd,cfg", [
+    ("tables", {"p_list": 5}), ("mlmc", {"p_list": 5}),
+    ("tables", {"p_list": [0, 16]}), ("mlmc", {"p_list": [0, 16]}),
+    ("tables", {"families": 5}), ("decay", {"kernels": 5}),
+    ("corrlen", {"ells": 5}), ("sqrt-bench", {"K_list": 5}),
+])
+def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
+    """A list setting that is no list, or a p_list naming p = 0, is a config
+    error: no TypeError, and no silent fallback to the config's p."""
+    rc, out = run(tmp_path, cmd, {"p": 16, "runs": 1} | cfg, seed=2)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text", [None, "width,value\n0.5,0.1\n", "center,value\n0.5,0.1\n",
+                                  "center,width\n0.5,0.1\n", "# no header\n"])
+def test_krige_bad_observations_file_exits_2(tmp_path, capsys, text):
+    """A missing observations file, or one without a header or without a
+    center, width or value column, is a config error."""
+    path = tmp_path / "obs.csv"
+    if text is not None:
+        path.write_text(text)
+    rc, out = run(tmp_path, "krige", {"p": 64, "observations": str(path)}, seed=2)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (out / "krige_predictions.csv").exists()
+
+
 @pytest.mark.parametrize("K_obs", [0, -3])
 def test_krige_rejects_nonpositive_observation_count(tmp_path, capsys, K_obs):
     rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": K_obs}, seed=2)

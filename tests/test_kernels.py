@@ -35,8 +35,6 @@ def test_operator_orders():
         o = operator_order(KernelSpec(nu, 1.0))
         assert o.r == r
         assert o.ra == -r / 2
-    with pytest.raises(ValueError):
-        operator_order(KernelSpec(0.5, 1.0), n=2)
 
 
 def test_monotone_on_grid():

@@ -55,7 +55,8 @@ def test_cg_diagonal_closed_form():
 
 def test_cg_iteration_bound():
     """Iterations to drive the A-norm error to 1e-8 stay below the
-    Chebyshev estimate ceil(ln(2e8)/ln((sqrt(k)+1)/(sqrt(k)-1))) + 2."""
+    Chebyshev estimate ceil(ln(2e8)/ln((sqrt(k)+1)/(sqrt(k)-1))) + 2.
+    CG from zero is deterministic, so ``max_iter=k`` returns its k-th iterate."""
     rng = np.random.default_rng(1)
     for kappa in (10.0, 100.0, 1000.0):
         n = 400
@@ -64,16 +65,13 @@ def test_cg_iteration_bound():
         x_true = rng.standard_normal(n)
         b = lam * x_true
         xa_true = np.sqrt(x_true @ (lam * x_true))
-        iters_needed = None
-        hist = []
 
-        def track(x):
-            e = x - x_true
-            hist.append(np.sqrt(e @ (lam * e)))
+        def a_norm_error(k):
+            e = cg_solve(A, b, tol=1e-14, max_iter=k).x - x_true
+            return np.sqrt(e @ (lam * e))
 
-        cg_solve(A, b, tol=1e-14, max_iter=n, track_error=track)
         target = 1e-8 * xa_true
-        iters_needed = next(i + 1 for i, v in enumerate(hist) if v <= target)
+        iters_needed = next(k for k in range(1, n + 1) if a_norm_error(k) <= target)
         rho = (np.sqrt(kappa) + 1) / (np.sqrt(kappa) - 1)
         bound = int(np.ceil(np.log(2e8) / np.log(rho))) + 2
         assert iters_needed <= bound
@@ -86,8 +84,9 @@ def test_cg_a_norm_monotone():
     b = rng.standard_normal(40)
     x_star = np.linalg.solve(A, b)
     errs = []
-    cg_solve(A, b, tol=1e-13,
-             track_error=lambda x: errs.append((x - x_star) @ A @ (x - x_star)))
+    for k in range(1, cg_solve(A, b, tol=1e-13).iterations + 1):
+        x = cg_solve(A, b, tol=1e-13, max_iter=k).x          # the k-th iterate
+        errs.append((x - x_star) @ A @ (x - x_star))
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
 
