@@ -223,6 +223,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert err["error"] == "config"
     rc2, _ = run(tmp_path, "pattern", {"p": 48})
     assert rc2 == 2
+    # the model itself refuses an unknown kernel or wavelet pair
+    for bad in ({"kernel": "matern99"}, {"wavelet": [2, 5]}):
+        assert run(tmp_path, "pattern", {"p": 16} | bad)[0] == 2
 
 
 def test_curve_mapping_in_config(tmp_path):
