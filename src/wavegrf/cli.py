@@ -40,6 +40,9 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
+        if "exact_bounds" in cfg:
+            raise ConfigError("config key 'exact_bounds' is gone: the dimension p "
+                              "picks dense or Lanczos bounds")
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
@@ -185,8 +188,7 @@ def cmd_sample(cfg) -> None:
     count = int(cfg.get("count", 4))
     K = int(cfg.get("K", 40))
     seed = int(cfg["seed"])
-    bounds = m.spectral_bounds(exact=cfg.get("exact_bounds", True))
-    contour = build_contour(bounds, K)
+    contour = build_contour(m.spectral_bounds(), K)
     sampler = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour)
     Z = sampler.draw_matrix(seed, count)
     out = _outdir(cfg)
@@ -262,8 +264,7 @@ def cmd_krige(cfg) -> None:
         obs = kriging.equispaced_observations(K, width, sigma2)
     om = kriging.build_observation_matrix(m.system, obs, m.idx.J, m.curve)
     if not obs_file:
-        bounds = m.spectral_bounds()
-        contour = build_contour(bounds, int(cfg.get("K", 40)))
+        contour = build_contour(m.spectral_bounds(), int(cfg.get("K", 40)))
         z = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour).draw(seed)
         from . import rng as _rng
         noise = _rng.standard_normal(seed, 10**6, obs.K) * np.sqrt(sigma2)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from . import linalg
 from .curves import CurveSpec
 from .linalg import CgResult, cg_solve, dense_eigvals
 from .wavelets import WaveletSystem
@@ -47,21 +48,16 @@ class ObservationSet:
         if self.sigma2 <= 0:
             raise ValueError("noise variance must be positive "
                              "(noise-free kriging is out of scope)")
-        if len(c) != len(w) or np.any(w <= 0):
-            raise ValueError("need one positive width per center")
+        if not len(c) or len(c) != len(w) or np.any(w <= 0):
+            raise ValueError("need at least one center and one positive width per center")
         if np.sum(w) > 1.0 + 1e-12:
             raise ValueError("observation supports overlap")
-        if len(c) > 1:
-            order = np.argsort((c - w / 2.0) % 1.0)
-            starts = ((c - w / 2.0) % 1.0)[order]
-            widths = w[order]
-            for i in range(len(c)):
-                nxt = (i + 1) % len(c)
-                room = (starts[nxt] - starts[i]) % 1.0
-                if nxt == 0:
-                    room = 1.0 - ((starts[i] - starts[0]) % 1.0)
-                if widths[i] > room + 1e-12:
-                    raise ValueError("observation supports overlap")
+        # room from each sorted start to the next, the last one wrapping round
+        order = np.argsort((c - w / 2.0) % 1.0)
+        starts = ((c - w / 2.0) % 1.0)[order]
+        room = np.append(np.diff(starts), 1.0 - (starts[-1] - starts[0]))
+        if np.any(w[order] > room + 1e-12):
+            raise ValueError("observation supports overlap")
 
     @property
     def K(self) -> int:
@@ -176,8 +172,8 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
     K = obsmat.K
-    if K > 2048:
-        raise ValueError("dense Gram assembly capped at K = 2048")
+    if K > linalg.DENSE_MAX_P:
+        raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
     return FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
 
 

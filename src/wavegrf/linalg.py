@@ -13,8 +13,9 @@ from .wavelets import LevelIndexSet, diag_scaling
 #: relative widening of Lanczos bounds (Ritz values lie inside the spectrum),
 #: Lanczos step cap and start-vector seed
 BOUNDS_SAFETY, LANCZOS_MAX_ITER, LANCZOS_SEED = 0.1, 400, 7
-#: largest dimension for which :func:`condition_number` takes dense eigenvalues
-DENSE_COND_MAX_P = 2048
+#: largest dimension given dense eigensolves (bounds, condition numbers, the
+#: sampler operator, the Gram matrix); above it Lanczos and shifted CG
+DENSE_MAX_P = 2048
 
 
 class SparseSymMatrix:
@@ -153,10 +154,6 @@ class SpectralBounds:
                               self.lambda_max * (1.0 + BOUNDS_SAFETY),
                               self.method, self.rtol)
 
-    @property
-    def cond(self) -> float:
-        return self.lambda_max / self.lambda_min
-
 
 def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
     """Extremal eigenvalues by Lanczos with full reorthogonalization.
@@ -165,6 +162,7 @@ def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
     if the extremes have not stabilized to relative tolerance within
     ``LANCZOS_MAX_ITER`` steps.
     """
+    from scipy.linalg import eigvalsh_tridiagonal   # at module level: +7 MB per process
     apply_A = _as_apply(A)
     max_iter = min(p, LANCZOS_MAX_ITER)
     rng = np.random.Generator(np.random.Philox(key=[LANCZOS_SEED, 0x1a2b3c4d]))
@@ -183,11 +181,8 @@ def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
         u = u - a * q - beta * q_prev
         u -= Q[:, :m + 1] @ (Q[:, :m + 1].T @ u)          # full reorthogonalization
         beta = float(np.linalg.norm(u))
-        T = np.diag(alphas)
-        if betas:
-            T += np.diag(betas, 1) + np.diag(betas, -1)
-        ev = np.linalg.eigvalsh(T)
-        cur = (ev[0], ev[-1])
+        cur = tuple(eigvalsh_tridiagonal(alphas, betas, select="i", select_range=(i, i))[0]
+                    for i in (0, m))
         if m + 1 == p:
             return SpectralBounds(cur[0], cur[1], "lanczos", 0.0)
         if prev is not None and beta > 0:
@@ -231,9 +226,9 @@ def sym_function(A, f) -> np.ndarray:
 
 
 def condition_number(A) -> float:
-    """2-norm condition number; dense up to ``DENSE_COND_MAX_P``, else Lanczos."""
+    """2-norm condition number; dense up to ``DENSE_MAX_P``, else Lanczos."""
     p = A.shape[0]
-    if p <= DENSE_COND_MAX_P:
+    if p <= DENSE_MAX_P:
         ev = dense_eigvals(A)
         lo, hi = float(ev[0]), float(ev[-1])
     else:

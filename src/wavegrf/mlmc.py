@@ -39,14 +39,6 @@ class SampleSchedule:
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError("per-level sample counts must be non-increasing in j")
 
-    @property
-    def regime(self) -> str:
-        if 2 * self.alpha > self.n:
-            return "2a>n"
-        if 2 * self.alpha == self.n:
-            return "2a=n"
-        return "2a<n"
-
     def block_count(self, j: int, jp: int) -> int:
         return self.counts[max(j, jp)]
 
@@ -98,7 +90,7 @@ class GaussianCoefficientSource:
         self._xi = np.empty(0)          # reused buffer of the standard normals
 
     def _root(self, j: int) -> np.ndarray:
-        p_j = self.idx.truncate(j).p
+        p_j = 2 ** (j + 1)
         key = (self._digest, self.C.shape, p_j)
         root = _ROOTS.pop(key, None)
         if root is None:
@@ -157,8 +149,6 @@ def write_sample_csv(path, level: int, samples: np.ndarray) -> None:
 @dataclass
 class MlmcEstimate:
     matrix: SparseSymMatrix
-    block_counts: dict
-    work: int
     seed: int
 
 
@@ -176,14 +166,12 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
     if sched.J != idx.J or sched.j0 != idx.j0:
         raise ValueError("schedule and pattern must share the level range")
     parts = []                          # (rows, cols, values) on the pattern
-    block_counts = {}
     stream_id = 1
     for a, j in enumerate(idx.levels):
         sj = idx.level_slice(j)
         for jp in idx.levels[a:]:
             sp = idx.level_slice(jp)
             m = sched.block_count(j, jp)
-            block_counts[(j, jp)] = m
             if jp == j:
                 Z = source.draw(j, m, stream_id, sj)
                 stream_id += 1
@@ -203,8 +191,7 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
                 parts.append((c + sp.start, r + sj.start, blk[r, c]))
     r, c, v = (np.concatenate(x) for x in zip(*parts))
     M = sparse.csr_matrix((v, (r, c)), shape=(idx.p, idx.p))
-    return MlmcEstimate(matrix=SparseSymMatrix(M), block_counts=block_counts,
-                        work=sched.work(), seed=seed)
+    return MlmcEstimate(matrix=SparseSymMatrix(M), seed=seed)
 
 
 def error_report(est: MlmcEstimate, truth: np.ndarray, idx: LevelIndexSet) -> dict:

@@ -22,9 +22,10 @@ def default_wavelet_for(kernel_name: str) -> tuple[int, int]:
     return _DEFAULT_FAMILY[kernel_name]
 
 
-#: dense single-scale matrices shared across wavelet families (they depend
-#: only on curve, kernel and dimension); bounded
-_single_scale = lru_cache(maxsize=16)(assembly.assemble_single_scale)
+#: the last dense single-scale matrix, shared across wavelet families (it
+#: depends only on curve, kernel and dimension): only ``tables`` builds the
+#: families of one p in a row, so a larger cache only keeps p x p arrays alive
+_single_scale = lru_cache(maxsize=1)(assembly.assemble_single_scale)
 
 
 class CovarianceModel:
@@ -72,8 +73,10 @@ class CovarianceModel:
     def preconditioned_dense(self) -> np.ndarray:
         return linalg.precondition(self.wavelet_dense, self.idx, self.order.ra)
 
-    def spectral_bounds(self, exact: bool = True) -> linalg.SpectralBounds:
-        if exact:
+    def spectral_bounds(self, exact: bool | None = None) -> linalg.SpectralBounds:
+        """Dense bounds up to ``linalg.DENSE_MAX_P``, widened Lanczos bounds
+        above it; ``exact`` forces one side."""
+        if (self.idx.p <= linalg.DENSE_MAX_P) if exact is None else exact:
             return linalg.dense_bounds(self.preconditioned)
         return linalg.lanczos_extremes(self.preconditioned, self.idx.p).widened()
 

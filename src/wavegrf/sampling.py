@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import linalg, rng
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
 from .linalg import SpectralBounds, cg_solve, precondition, sym_function, _as_apply
 from .wavelets import LevelIndexSet, diag_scaling
@@ -108,24 +108,21 @@ class GrfSample:
 class GrfSampler:
     """Draws dual-coordinate field samples ``z = D^-ra S_K xi``.
 
-    ``method='dense'`` precomputes the p x p operator (fast for repeated
-    draws at moderate p); ``method='cg'`` applies the shifted solves per
-    draw and never forms matrices.
+    Up to ``linalg.DENSE_MAX_P`` the p x p operator is formed once (fast for
+    repeated draws); above it each draw applies the shifted CG solves and no
+    matrix is formed.
     """
 
     def __init__(self, Ceps, idx: LevelIndexSet, ra: float,
-                 contour: ContourQuadrature, method: str = "dense",
-                 cg_tol: float = 1e-12):
+                 contour: ContourQuadrature, cg_tol: float = 1e-12):
         self.idx = idx
         self.contour = contour
         self.cg_tol = cg_tol
         self.R = precondition(Ceps, idx, ra)
         self.dinv = diag_scaling(idx, -ra)
         self._op = None
-        if method == "dense":
+        if idx.p <= linalg.DENSE_MAX_P:
             self._op = self.dinv[:, None] * sqrt_matrix(self.R, contour)
-        elif method != "cg":
-            raise ValueError("method must be 'dense' or 'cg'")
 
     def covariance(self) -> np.ndarray:
         """The exact covariance of the draws, ``D^-ra S_K^2 D^-ra``."""

@@ -63,7 +63,7 @@ class LevelIndexSet:
 
 
 def index_set_for_dim(p: int, j0: int) -> LevelIndexSet:
-    J = int(np.log2(p)) - 1
+    J = int(p).bit_length() - 2
     if 2 ** (J + 1) != p or J < j0:
         raise ValueError(f"p={p} is not 2**(J+1) with J >= j0={j0}")
     return LevelIndexSet(j0, J)

@@ -52,6 +52,43 @@ def test_sample_reproducible_bytes(tmp_path):
         (out3 / "sample_coeffs.csv").read_bytes()
 
 
+def _refuse(*args):
+    raise AssertionError("dense eigensolve above linalg.DENSE_MAX_P")
+
+
+def test_sample_and_krige_take_krylov_side_above_dense_max_p(tmp_path, monkeypatch):
+    """Above ``linalg.DENSE_MAX_P`` the CLI takes Lanczos bounds and the CG
+    sampler (no dense bounds, no dense sampler operator); the outputs match
+    the dense side's.  K_obs <= 32 keeps the dense Gram condition number."""
+    from wavegrf import io, linalg, sampling
+    runs = {"sample": ({"p": 64, "count": 3, "K": 40}, ["sample_coeffs.csv"]),
+            "krige": ({"p": 64, "K_obs": 32, "K": 40},
+                      ["krige_observations.csv", "krige_predictions.csv"])}
+    for cmd, (cfg, _) in runs.items():
+        assert run(tmp_path, cmd, cfg, seed=11, name=f"{cmd}_dense")[0] == 0
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
+    monkeypatch.setattr(linalg, "dense_bounds", _refuse)
+    monkeypatch.setattr(sampling, "sqrt_matrix", _refuse)
+    for cmd, (cfg, files) in runs.items():
+        assert run(tmp_path, cmd, cfg, seed=11, name=f"{cmd}_krylov")[0] == 0
+        for f in files:
+            want = io.read_csv(tmp_path / f"{cmd}_dense" / f)
+            got = io.read_csv(tmp_path / f"{cmd}_krylov" / f)
+            for col in want:
+                assert np.linalg.norm(got[col] - want[col]) <= \
+                    1e-10 * np.linalg.norm(want[col]), (f, col)
+
+
+def test_exact_bounds_key_is_refused(tmp_path, capsys):
+    """The dimension picks dense or Lanczos bounds; an old ``exact_bounds``
+    setting is a config error, never silently ignored."""
+    rc, out = run(tmp_path, "sample", {"p": 64, "exact_bounds": False}, seed=3)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "exact_bounds" in err["message"]
+    assert not (out / "sample_coeffs.csv").exists()
+
+
 def test_tables_command_small(tmp_path):
     cfg = {"kernel": "matern12", "families": [[2, 6]], "p_list": [32, 64]}
     rc, out = run(tmp_path, "tables", cfg)

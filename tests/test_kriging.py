@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from wavegrf import kriging, sampling
+from wavegrf import kriging, linalg, sampling
 from wavegrf.curves import normalize_to_unit_diameter, paper_boundary
 from wavegrf.kriging import (FactoredGram, ObservationSet,
                              build_observation_matrix,
@@ -23,8 +23,53 @@ def test_observation_validation():
         # wrap-around overlap
         ObservationSet(centers=np.array([0.99, 0.02]),
                        widths=np.array([0.08, 0.08]), sigma2=1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        ObservationSet(centers=np.array([]), widths=np.array([]), sigma2=1.0)
     obs = equispaced_observations(8, 0.05, 1e-2)
     assert obs.K == 8
+
+
+def _loop_overlaps(c, w):
+    """The per-support loop the vectorized overlap check replaced: the
+    reference for it."""
+    if len(c) < 2:
+        return False
+    order = np.argsort((c - w / 2.0) % 1.0)
+    starts = ((c - w / 2.0) % 1.0)[order]
+    widths = w[order]
+    for i in range(len(c)):
+        nxt = (i + 1) % len(c)
+        room = (starts[nxt] - starts[i]) % 1.0
+        if nxt == 0:
+            room = 1.0 - ((starts[i] - starts[0]) % 1.0)
+        if widths[i] > room + 1e-12:
+            return True
+    return False
+
+
+def test_overlap_check_matches_loop_reference():
+    rng = np.random.default_rng(13)
+    seen = set()
+    for trial in range(3000):
+        K = int(rng.integers(1, 12))
+        c = rng.random(K)
+        w = rng.random(K) * rng.choice([0.5, 1.0, 2.0]) / K
+        if trial % 3 == 0:                   # exactly adjacent supports
+            c = np.sort(c)
+            w = np.append(np.diff(c), 1.0 - (c[-1] - c[0]))
+            c = c + w / 2.0
+        if np.sum(w) > 1.0 + 1e-12:
+            continue
+        want = _loop_overlaps(c % 1.0, w)
+        seen.add(want)
+        try:
+            ObservationSet(centers=c, widths=w, sigma2=1.0)
+            got = False
+        except ValueError as e:
+            assert "overlap" in str(e)
+            got = True
+        assert got == want, (c, w)
+    assert seen == {True, False}
 
 
 def test_observation_matrix_structure(model):
@@ -310,3 +355,14 @@ def test_true_residual_check_costs_at_most_one_iteration(model):
         assert res.converged
         assert res.iterations <= _recursive_residual_cg(gram, y, 1e-10) + 1
         assert np.linalg.norm(y - gram(res.x)) <= 1e-10 * np.linalg.norm(y)
+
+
+def test_gram_matrix_capped_at_dense_max_p(model, monkeypatch):
+    m = model("matern12", 2, 6, 64)
+    obs = equispaced_observations(8, 1.0 / 64, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 8)
+    assert gram_matrix(m.tapered, om, obs.sigma2).shape == (8, 8)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 7)
+    with pytest.raises(ValueError, match="K = 7"):
+        gram_matrix(m.tapered, om, obs.sigma2)

@@ -19,7 +19,6 @@ def test_schedule_factor_two_growth():
     assert s.counts[11] == 100
     assert s.counts[10] == 200
     assert s.counts[2] == 100 * 2**9 == 51200
-    assert s.regime == "2a=n"
     assert s.block_count(3, 11) == 100
     assert s.block_count(4, 5) == s.counts[5]
 
@@ -27,8 +26,6 @@ def test_schedule_factor_two_growth():
 def test_schedule_single_level_and_regimes():
     s = schedule(J=2, j0=2, M_finest=100)
     assert s.counts == {2: 100}
-    assert schedule(J=5, j0=2, alpha=1.0, alpha0=2.0).regime == "2a>n"
-    assert schedule(J=5, j0=2, alpha=0.25, alpha0=2.0).regime == "2a<n"
     with pytest.raises(ValueError):
         schedule(J=5, j0=2, alpha=3.0, alpha0=2.0)
     with pytest.raises(ValueError):
@@ -142,10 +139,6 @@ def test_estimate_deterministic_and_logged(model):
     e1 = estimate(m.pattern, sched, GaussianCoefficientSource(Ceps, m.idx, 5), seed=5)
     e2 = estimate(m.pattern, sched, GaussianCoefficientSource(Ceps, m.idx, 5), seed=5)
     assert np.array_equal(e1.matrix.to_dense(), e2.matrix.to_dense())
-    # each block logs exactly M~_max(j, j') samples
-    for (j, jp), mcount in e1.block_counts.items():
-        assert mcount == sched.counts[max(j, jp)]
-    assert e1.work == sched.work()
     # support contained in the pattern
     D = e1.matrix.to_dense()
     assert np.all(D[~m.pattern.mask] == 0.0)

@@ -15,7 +15,6 @@ LIBRARY = ROOT / "src" / "wavegrf"
 
 #: "function:parameter" (methods as "Class.method") -> why it stays unset
 KEPT = {
-    "GrfSampler.__init__:method": "the user's choice between the dense and the CG sampler",
     "GrfSampler.__init__:cg_tol": "tolerance of the shifted CG solves",
     "lanczos_extremes:tol": "stopping tolerance of the Lanczos bounds",
     "schedule:n": "the paper's manifold dimension in the sample schedule",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wavegrf import linalg, sampling
 from wavegrf.linalg import SpectralBounds, dense_bounds
 from wavegrf.sampling import (GrfSampler, apply_sqrt, build_contour,
                               sqrt_matrix)
@@ -177,13 +178,41 @@ def test_draws_deterministic(model):
     assert s1.seed == 42
 
 
-def test_cg_sampler_matches_dense_sampler(model):
+def test_cg_sampler_matches_dense_sampler(model, monkeypatch):
     m = model("matern12", 2, 6, 64)
     q = build_contour(dense_bounds(m.preconditioned), 30)
-    d = GrfSampler(m.tapered, m.idx, m.order.ra, q, method="dense").draw(7)
-    c = GrfSampler(m.tapered, m.idx, m.order.ra, q, method="cg",
-                   cg_tol=1e-13).draw(7)
+    d = GrfSampler(m.tapered, m.idx, m.order.ra, q).draw(7)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)       # p = 64 is now above it
+    c = GrfSampler(m.tapered, m.idx, m.order.ra, q, cg_tol=1e-13).draw(7)
     np.testing.assert_allclose(c.coefficients, d.coefficients, atol=1e-9)
+
+
+def _refuse(*args):
+    raise AssertionError("dense operator formed above linalg.DENSE_MAX_P")
+
+
+def test_krylov_side_above_dense_max_p(model, monkeypatch):
+    """Above ``linalg.DENSE_MAX_P`` the bounds come from Lanczos and the
+    draws from shifted CG, no dense operator is formed, and the draws match
+    the dense side's."""
+    m = model("matern12", 2, 6, 512)
+
+    def draws():
+        bounds = m.spectral_bounds()
+        sampler = GrfSampler(m.tapered, m.idx, m.order.ra, build_contour(bounds, 40))
+        return bounds, sampler, sampler.draw_matrix(5, 2)
+
+    b_dense, _, Z_dense = draws()
+    assert b_dense.method == "dense"
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 256)
+    assert m.spectral_bounds(exact=True).method == "dense"      # still forced
+    monkeypatch.setattr(linalg, "dense_bounds", _refuse)
+    monkeypatch.setattr(sampling, "sqrt_matrix", _refuse)
+    b_krylov, sampler, Z_krylov = draws()
+    assert b_krylov.method == "lanczos"
+    assert b_krylov.lambda_min < b_dense.lambda_min <= b_dense.lambda_max < b_krylov.lambda_max
+    assert sampler._op is None
+    assert np.linalg.norm(Z_krylov - Z_dense) <= 1e-10 * np.linalg.norm(Z_dense)
 
 
 def test_marginals_standard_normal_ks(model):

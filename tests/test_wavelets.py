@@ -68,6 +68,14 @@ def test_index_set_truncation_is_prefix():
     assert np.array_equal(lev[:sub.p], sub.level_of_position())
 
 
+@pytest.mark.parametrize("p", [0, -8, -1, 1, 2, 48, 100])
+def test_index_set_for_dim_refuses_non_dyadic_p(p):
+    """p = 0 and negative p get the same refusal as any other p that is not
+    2**(J+1) (no OverflowError from a logarithm)."""
+    with pytest.raises(ValueError, match=r"is not 2\*\*\(J\+1\)"):
+        get_system(2, 6).index_set_for_dim(p)
+
+
 def test_diag_scaling_values():
     idx = LevelIndexSet(2, 3)
     d = diag_scaling(idx, 1.0)
