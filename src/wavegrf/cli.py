@@ -41,8 +41,7 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         if "exact_bounds" in cfg:
-            raise ConfigError("config key 'exact_bounds' is gone: the dimension p "
-                              "picks dense or Lanczos bounds")
+            raise ConfigError("config key 'exact_bounds' is gone: p picks dense or Lanczos")
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)

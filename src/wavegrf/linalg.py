@@ -13,8 +13,7 @@ from .wavelets import LevelIndexSet, diag_scaling
 #: relative widening of Lanczos bounds (Ritz values lie inside the spectrum),
 #: Lanczos step cap and start-vector seed
 BOUNDS_SAFETY, LANCZOS_MAX_ITER, LANCZOS_SEED = 0.1, 400, 7
-#: largest dimension given dense eigensolves (bounds, condition numbers, the
-#: sampler operator, the Gram matrix); above it Lanczos and shifted CG
+#: largest p given dense bounds, cond, sampler operator and Gram; above, Krylov
 DENSE_MAX_P = 2048
 
 

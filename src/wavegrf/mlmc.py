@@ -90,6 +90,8 @@ class GaussianCoefficientSource:
         self._xi = np.empty(0)          # reused buffer of the standard normals
 
     def _root(self, j: int) -> np.ndarray:
+        if not self.idx.j0 <= j <= self.idx.J:
+            raise ValueError(f"level {j} outside [{self.idx.j0}, {self.idx.J}]")
         p_j = 2 ** (j + 1)
         key = (self._digest, self.C.shape, p_j)
         root = _ROOTS.pop(key, None)

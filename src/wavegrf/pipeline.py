@@ -22,9 +22,8 @@ def default_wavelet_for(kernel_name: str) -> tuple[int, int]:
     return _DEFAULT_FAMILY[kernel_name]
 
 
-#: the last dense single-scale matrix, shared across wavelet families (it
-#: depends only on curve, kernel and dimension): only ``tables`` builds the
-#: families of one p in a row, so a larger cache only keeps p x p arrays alive
+#: the last dense single-scale matrix, shared across wavelet families: only
+#: ``tables`` reuses it (the families of one p in a row); more only holds p x p arrays
 _single_scale = lru_cache(maxsize=1)(assembly.assemble_single_scale)
 
 
@@ -73,10 +72,9 @@ class CovarianceModel:
     def preconditioned_dense(self) -> np.ndarray:
         return linalg.precondition(self.wavelet_dense, self.idx, self.order.ra)
 
-    def spectral_bounds(self, exact: bool | None = None) -> linalg.SpectralBounds:
-        """Dense bounds up to ``linalg.DENSE_MAX_P``, widened Lanczos bounds
-        above it; ``exact`` forces one side."""
-        if (self.idx.p <= linalg.DENSE_MAX_P) if exact is None else exact:
+    def spectral_bounds(self, exact: bool = False) -> linalg.SpectralBounds:
+        """Dense bounds up to ``linalg.DENSE_MAX_P`` or if ``exact``, else widened Lanczos."""
+        if exact or self.idx.p <= linalg.DENSE_MAX_P:
             return linalg.dense_bounds(self.preconditioned)
         return linalg.lanczos_extremes(self.preconditioned, self.idx.p).widened()
 

@@ -76,20 +76,44 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
                cg_tol: float = 1e-12) -> np.ndarray:
     """Apply the rational square-root approximation of ``R`` to ``x``.
 
-    Each shifted system is solved by CG to ``cg_tol``; an unconverged one raises.
+    Multi-shift CG: one CG on the smallest shift carries all K systems
+    ``(R + w_k^2 I) y_k = x``, so a draw costs the matvecs of the slowest shift.
+    A shift whose true residual then misses ``cg_tol |x|`` goes on by CG on that
+    residual, as ``cg_solve`` restarts; one that misses it still raises.
     """
     x = np.asarray(x, dtype=float)
     if contour.scalar:
         return np.sqrt(contour.c_minus) * x
-    apply_R = _as_apply(R)
-    acc = np.zeros_like(x)
-    for w2, g in zip(contour.poles, contour.weights):
-        res = cg_solve(lambda v, s=w2: apply_R(v) + s * v, x, tol=cg_tol)
-        if not res.converged:
-            raise RuntimeError(f"CG for the shift w^2 = {w2:.6g} stopped unconverged "
-                               f"after {res.iterations} iterations")
-        acc += g * res.x
-    return contour.prefactor * apply_R(acc)
+    apply_R, w2, xn = _as_apply(R), contour.poles, np.linalg.norm(x)
+    Y, P, r = np.zeros((contour.K, len(x))), np.tile(x, (contour.K, 1)), x.copy()
+    zeta = zeta_old = np.ones(contour.K)
+    alpha_old, beta_old, rs, it = 1.0, 0.0, float(x @ x), 0
+    n = 0 if rs == 0.0 else contour.K   # live shifts, a prefix: zeta falls as w^2 grows
+    while n and it < 10 * len(x):
+        zeta, zeta_old, P = zeta[:n], zeta_old[:n], P[:n]
+        Ap = apply_R(P[0]) + w2[0] * P[0]                  # zeta_0 = 1: the base system
+        pAp = float(P[0] @ Ap)
+        if not 0.0 < pAp < np.inf:
+            raise np.linalg.LinAlgError(f"CG breakdown: p^T A p = {pAp} (not SPD or not finite)")
+        alpha = rs / pAp
+        zeta_new = zeta * zeta_old * alpha_old / (alpha_old * zeta_old * (
+            1.0 + alpha * (w2[:n] - w2[0])) + alpha * beta_old * (zeta_old - zeta))
+        ratio = zeta_new / zeta
+        Y[:n] += (alpha * ratio)[:, None] * P
+        r -= alpha * Ap
+        rs, rs_old, it = float(r @ r), rs, it + 1
+        alpha_old, beta_old, zeta_old, zeta = alpha, rs / rs_old, zeta, zeta_new
+        P = zeta[:, None] * r + (beta_old * ratio**2)[:, None] * P
+        n = int(np.count_nonzero(zeta * np.sqrt(rs) > max(cg_tol, np.finfo(float).eps) * xn))
+    res = x - apply_R(Y.T).T - w2[:, None] * Y          # one block product for all K
+    for k in np.flatnonzero(np.linalg.norm(res, axis=1) > cg_tol * xn):
+        fix = cg_solve(lambda v, s=w2[k]: apply_R(v) + s * v, res[k],
+                       tol=cg_tol * xn / np.linalg.norm(res[k]))
+        if not fix.converged:
+            raise RuntimeError(f"CG for the shift w^2 = {w2[k]:.6g} stopped unconverged "
+                               f"after {it + fix.iterations} iterations")
+        Y[k] += fix.x
+    return contour.prefactor * apply_R(contour.weights @ Y)
 
 
 def sqrt_matrix(R, contour: ContourQuadrature) -> np.ndarray:
@@ -109,7 +133,7 @@ class GrfSampler:
     """Draws dual-coordinate field samples ``z = D^-ra S_K xi``.
 
     Up to ``linalg.DENSE_MAX_P`` the p x p operator is formed once (fast for
-    repeated draws); above it each draw applies the shifted CG solves and no
+    repeated draws); above it each draw is one multi-shift CG solve and no
     matrix is formed.
     """
 
@@ -120,9 +144,8 @@ class GrfSampler:
         self.cg_tol = cg_tol
         self.R = precondition(Ceps, idx, ra)
         self.dinv = diag_scaling(idx, -ra)
-        self._op = None
-        if idx.p <= linalg.DENSE_MAX_P:
-            self._op = self.dinv[:, None] * sqrt_matrix(self.R, contour)
+        self._op = (self.dinv[:, None] * sqrt_matrix(self.R, contour)
+                    if idx.p <= linalg.DENSE_MAX_P else None)
 
     def covariance(self) -> np.ndarray:
         """The exact covariance of the draws, ``D^-ra S_K^2 D^-ra``."""

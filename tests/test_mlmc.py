@@ -219,6 +219,16 @@ def _eigh_sqrt(C):
     return (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
 
 
+def test_draw_refuses_a_level_outside_the_index_set(model):
+    """Only levels j0..J have a root: no draw from a block of another size."""
+    m = model("matern12", 2, 6, 64)
+    src = GaussianCoefficientSource(m.tapered.to_dense(), m.idx, seed=1)
+    assert src.draw(m.idx.j0, 1, 0).shape == (1, 2 ** (m.idx.j0 + 1))
+    for j in (m.idx.j0 - 1, m.idx.J + 1):
+        with pytest.raises(ValueError, match=f"level {j} outside"):
+            src.draw(j, 1, 0)
+
+
 def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     monkeypatch.setattr(mlmc, "_ROOTS", {})
     m = model("matern12", 2, 6, 64)

@@ -62,6 +62,16 @@ def test_unconverged_shifted_solve_raises():
         apply_sqrt(np.eye(n) + S - S.T, q, np.ones(n))
 
 
+def test_multi_shift_breakdown_raises():
+    """Zero or non-finite curvature p^T A p stops the solve instead of
+    dividing by it."""
+    q = build_contour(bounds(0.5, 2.0), 4)
+    with pytest.raises(np.linalg.LinAlgError, match="not SPD or not finite"):
+        apply_sqrt(np.diag([-1.0, 1.0]), q, np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="nan"):
+        apply_sqrt(np.eye(2), q, np.array([np.nan, 1.0]))
+
+
 def test_shifted_solve_at_unattainable_tolerance_raises(model):
     """A tolerance below attainable accuracy is reported, not met."""
     m = model("matern12", 2, 6, 64)
@@ -165,6 +175,43 @@ def test_apply_sqrt_matches_dense_route(model):
     # S_K^2 approximates R itself
     R = m.preconditioned.to_dense()
     assert np.linalg.norm(S @ S - R, 2) <= 1e-10 * np.linalg.norm(R, 2)
+
+
+def _per_shift_reference(R, q, x, tol):
+    """The rule evaluated by K separate CG solves, one per shift."""
+    acc = sum(g * linalg.cg_solve(lambda v, s=w2: R @ v + s * v, x, tol=tol).x
+              for w2, g in zip(q.poles, q.weights))
+    return q.prefactor * (R @ acc)
+
+
+def test_multi_shift_solve_matches_per_shift_solves(model):
+    """Draw 347 has a shift whose recursive residual meets the tolerance
+    while its true one does not; a CG on the remaining residual mends it."""
+    m = model("matern12", 2, 6, 512)
+    R = m.preconditioned
+    q = build_contour(linalg.lanczos_extremes(R, 512).widened(), 40)
+    for i in (0, 1, 347):
+        x = np.random.default_rng(i).standard_normal(512)
+        ref = _per_shift_reference(R, q, x, 1e-12)
+        y = apply_sqrt(R, q, x)
+        assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_multi_shift_draw_costs_the_slowest_shift_only(model):
+    """One Krylov space serves all K = 30 shifts: at p = 2048 a draw takes
+    at most 100 products with R, where K separate solves take about 866."""
+    m = model("matern12", 2, 6, 2048)
+    R = m.preconditioned
+    q = build_contour(linalg.lanczos_extremes(R, 2048).widened(), 30)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return R @ v
+
+    y = apply_sqrt(counted, q, np.random.default_rng(0).standard_normal(2048))
+    assert np.all(np.isfinite(y))
+    assert len(calls) <= 100
 
 
 def test_draws_deterministic(model):
