@@ -17,8 +17,7 @@ from .kernels import (KernelSpec, OperatorOrder, CircleSpectrum, eval_kernel,
 from .wavelets import LevelIndexSet, WaveletSystem, get_system, diag_scaling
 from .assembly import assemble_single_scale, to_wavelet_coordinates
 from .compression import (CompressionParams, TaperPattern, taper_params,
-                          build_pattern, apply_pattern, aposteriori_threshold,
-                          sparsity_report)
+                          build_pattern, apply_pattern, aposteriori_threshold)
 from .linalg import (SparseSymMatrix, SpectralBounds, CgResult, precondition,
                      cg_solve, lanczos_extremes, dense_bounds,
                      condition_number, sym_function)

@@ -12,17 +12,23 @@ self blocks; the congruence transform takes it to wavelet coordinates.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
 
 from .curves import CurveSpec
-from .quadrature import gauss_rule
 from .wavelets import WaveletSystem
 
 #: Gauss order of the self-pair triangle rule and of the far-order probe reference
 SELF_ORDER = 8
+
+
+@lru_cache(maxsize=32)
+def gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _kernel_callable(kernel):

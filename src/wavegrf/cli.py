@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, kriging, mlmc, sampling
-from .compression import aposteriori_threshold, sparsity_report
+from . import __version__, io, kriging, linalg, mlmc, sampling
+from .compression import aposteriori_threshold
 from .filters import SUPPORTED_PAIRS, build_filter_bank
 from .kernels import KERNEL_NAMES
 from .linalg import SpectralBounds, condition_number, dense_eigvals
@@ -185,6 +185,8 @@ def cmd_sample(cfg) -> None:
     """Draw field samples; write coefficients, synthesized field, metadata."""
     m = _model(cfg)
     count = int(cfg.get("count", 4))
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count}")
     K = int(cfg.get("K", 40))
     seed = int(cfg["seed"])
     contour = build_contour(m.spectral_bounds(), K)
@@ -274,9 +276,11 @@ def cmd_krige(cfg) -> None:
         raise RuntimeError(f"Gram CG stopped unconverged after {res.iterations} iterations")
     targets = np.asarray(cfg.get("targets", (np.arange(256) / 256.0)))
     pred = kriging.predict_at(m.system, m.curve, mu, targets)
+    # the Gram condition number needs the dense K x K Gram: absent above the size rule
     meta = io.standard_meta(cfg) | {
         "model": m.meta, "cg_iterations": res.iterations,
-        "gram_cond": kriging.gram_condition(m.tapered, om, sigma2)}
+        "gram_cond": (kriging.gram_condition(m.tapered, om, sigma2)
+                      if obs.K <= linalg.DENSE_MAX_P else None)}
     io.write_csv(out / "krige_predictions.csv", {"t": targets, "value": pred}, meta)
     io.write_csv(out / "krige_observations.csv",
                  {"center": obs.centers, "width": obs.widths, "value": y}, meta)
@@ -301,9 +305,8 @@ def cmd_pattern(cfg) -> None:
     """
     m = _model(cfg)
     out = _outdir(cfg)
-    rep = sparsity_report(m.pattern)
-    meta = io.standard_meta(cfg) | {"model": m.meta, "nnz": rep["nnz"],
-                                    "nnz_fraction": rep["nnz_fraction"]}
+    meta = io.standard_meta(cfg) | {"model": m.meta, "nnz": m.pattern.nnz,
+                                    "nnz_fraction": m.pattern.nnz_fraction}
     io.write_matrix_market(out / "pattern.mtx", m.pattern.to_coo(),
                            io.standard_meta(cfg))
     io.write_pattern_fingerprint(out / "pattern_fingerprint.csv", m.pattern, meta)
@@ -314,7 +317,7 @@ def cmd_pattern(cfg) -> None:
         coo = S.csr.tocoo()
         io.write_csv(out / "covariance_eps.csv",
                      {"row": coo.row, "col": coo.col, "value": coo.data}, meta)
-    io.write_meta(out / "pattern_meta.json", cfg, {"nnz": rep["nnz"]})
+    io.write_meta(out / "pattern_meta.json", cfg, {"nnz": m.pattern.nnz})
 
 
 def cmd_filters_dump(cfg) -> None:

@@ -12,8 +12,6 @@ as one symmetric boolean CSR matrix, built in O(nnz).  The cutoffs are
                         2^((2J(d'-r/2) - (j+j')(d'+dt)) / (2 dt + r)))
   tau'_{jj'} = a' * max(2^-max(j,j'),
                         2^((2J(d'-r/2) - (j+j')d' - max(j,j') dt) / (dt + r)))
-
-and the induced consistency scale is ``eps = a^(-2(d+r/2)) + a'^(-(dt+r))``.
 """
 
 from __future__ import annotations
@@ -58,17 +56,6 @@ class CompressionParams:
             return self.dprime
         return self.d + (self.dt - self.d + self.r) / 4.0
 
-    @property
-    def is_borderline(self) -> bool:
-        dp = self.resolved_dprime
-        return not (self.d < dp < self.dt + self.r)
-
-    @property
-    def consistency_scale(self) -> float:
-        """eps = a^(-2(d + r/2)) + a'^(-(dt + r))"""
-        return (self.a ** (-2.0 * (self.d + self.r / 2.0))
-                + self.a_prime ** (-(self.dt + self.r)))
-
 
 def taper_params(params: CompressionParams, j: int, jp: int, J: int) -> tuple[float, float]:
     """The pair (tau_{jj'}, tau'_{jj'}) for finest level J."""
@@ -90,7 +77,6 @@ class TaperPattern:
     matrix with O(p) entries (a dense boolean mask is converted to it)."""
     idx: LevelIndexSet
     csr: sparse.csr_matrix
-    params: CompressionParams
 
     def __post_init__(self):
         self.csr = sparse.csr_matrix(self.csr, dtype=bool)
@@ -216,7 +202,7 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
             cols += [r] if jp == j else [c, r]
     r, c = np.concatenate(rows), np.concatenate(cols)
     csr = sparse.csr_matrix((np.ones(len(r), dtype=bool), (r, c)), shape=(idx.p, idx.p))
-    return TaperPattern(idx=idx, csr=csr, params=params)
+    return TaperPattern(idx=idx, csr=csr)
 
 
 def _knot_gap(gj, gp, ii, jj):
@@ -261,7 +247,7 @@ def apply_pattern(A: np.ndarray, pattern: TaperPattern):
 
 
 def aposteriori_threshold(S, idx: LevelIndexSet, ra: float, delta: float):
-    """Drop entries small after diagonal preconditioning.
+    """Drop entries of the SparseSymMatrix ``S`` small after diagonal preconditioning.
 
     Entry (lam, lam') is dropped when ``2^(ra(|lam|+|lam'|)) |entry| < delta``;
     the diagonal is never dropped and drops are symmetric.
@@ -269,7 +255,7 @@ def aposteriori_threshold(S, idx: LevelIndexSet, ra: float, delta: float):
     from .linalg import SparseSymMatrix
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    M = S.csr.tocoo() if isinstance(S, SparseSymMatrix) else sparse.coo_matrix(S)
+    M = S.csr.tocoo()
     lev = idx.level_of_position()
     weight = np.power(2.0, ra * (lev[M.row] + lev[M.col]))
     keep = (np.abs(M.data) * weight >= delta) | (M.row == M.col)
@@ -281,24 +267,3 @@ def aposteriori_threshold(S, idx: LevelIndexSet, ra: float, delta: float):
     out = out.multiply(both)
     return SparseSymMatrix(sparse.csr_matrix(out))
 
-
-def sparsity_report(obj, idx: LevelIndexSet | None = None) -> dict:
-    """nnz statistics of a pattern or sparse/dense symmetric matrix."""
-    from .linalg import SparseSymMatrix
-    if isinstance(obj, TaperPattern):
-        idx = obj.idx
-        mat = obj.csr
-    elif isinstance(obj, SparseSymMatrix):
-        mat = obj.csr
-    else:
-        mat = sparse.csr_matrix(np.asarray(obj) != 0)
-    if idx is None:
-        raise ValueError("index set required for per-level-block counts")
-    p = mat.shape[0]
-    coo = mat.tocoo()
-    lev, L = idx.level_of_position() - idx.j0, len(idx.levels)
-    counts = np.bincount(lev[coo.row] * L + lev[coo.col], minlength=L * L)
-    blocks = {(j, jp): int(counts[(j - idx.j0) * L + jp - idx.j0])
-              for j in idx.levels for jp in idx.levels}
-    nnz = int(mat.nnz)
-    return {"p": p, "nnz": nnz, "nnz_fraction": nnz / p**2, "blocks": blocks}

@@ -38,10 +38,6 @@ _DUAL_NUMERATORS = {
                   -1442, 658, 126, -63]),
 }
 
-# Sobolev smoothness of the dual scaling functions (published numerically
-# computed values for this family); the primal hat gives gamma = d - 1/2.
-_DUAL_REGULARITY = {2: 0.4408, 4: 1.1751, 6: 1.7931, 8: 2.3544, 10: 2.8754}
-
 #: coarsest admissible level per family, chosen so that periodized filters
 #: at the first decomposition level keep their translates distinguishable
 _DEFAULT_J0 = {4: 2, 6: 2, 8: 3, 10: 3}
@@ -82,8 +78,6 @@ class FilterBank:
     lo_dual: Mask
     hi: Mask
     hi_dual: Mask
-    gamma: float
-    gamma_dual: float
 
     @property
     def default_j0(self) -> int:
@@ -116,5 +110,4 @@ def build_filter_bank(d: int, dt: int) -> FilterBank:
         d=d, dt=dt,
         lo=lo, lo_dual=lo_dual,
         hi=_modulate(lo_dual), hi_dual=_modulate(lo),
-        gamma=d - 0.5, gamma_dual=_DUAL_REGULARITY[dt],
     )

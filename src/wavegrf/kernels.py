@@ -38,13 +38,12 @@ class OperatorOrder:
 class KernelSpec:
     nu: float
     ell: float = 1.0
-    sigma2: float = 1.0
 
     def __post_init__(self):
         if self.nu not in SUPPORTED_NU:
             raise ValueError(f"nu must be one of {SUPPORTED_NU}")
-        if self.ell <= 0 or self.sigma2 <= 0:
-            raise ValueError("ell and sigma2 must be positive")
+        if self.ell <= 0:
+            raise ValueError("ell must be positive")
 
     def __call__(self, z):
         return eval_kernel(self, z)
@@ -75,7 +74,7 @@ def eval_kernel(spec: KernelSpec, z):
     else:
         s = np.sqrt(5.0) * u
         val = (1.0 + s + 5.0 * u * u / 3.0) * np.exp(-s)
-    return spec.sigma2 * val
+    return val
 
 
 def operator_order(spec: KernelSpec) -> OperatorOrder:
@@ -116,10 +115,6 @@ class CircleSpectrum:
     def eigenvalue(self, m):
         m = np.asarray(m, dtype=float)
         return (self.kappa**2 + m * m) ** (-2.0 * self.beta)
-
-    def eigenvalues(self) -> np.ndarray:
-        """lam_m for m = -M..M."""
-        return self.eigenvalue(np.arange(-self.modes, self.modes + 1))
 
     def kernel(self, theta):
         """Covariance k(theta) = (1/2pi) sum_m lam_m cos(m theta)."""

@@ -140,10 +140,8 @@ class FactoredGram:
         self.G = obsmat.G
         self.GT = obsmat.G.T.tocsr()
         self.sigma2 = sigma2
-        self.applies = 0
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        self.applies += 1
         return self.G @ (self.C @ (self.GT @ v)) + self.sigma2 * v
 
 

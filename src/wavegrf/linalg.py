@@ -13,7 +13,7 @@ from .wavelets import LevelIndexSet, diag_scaling
 #: relative widening of Lanczos bounds (Ritz values lie inside the spectrum),
 #: Lanczos step cap and start-vector seed
 BOUNDS_SAFETY, LANCZOS_MAX_ITER, LANCZOS_SEED = 0.1, 400, 7
-#: largest p given dense bounds, cond, sampler operator and Gram; above, Krylov
+#: largest p given dense bounds, sparse cond, sampler operator and Gram; above, Krylov
 DENSE_MAX_P = 2048
 
 
@@ -51,9 +51,6 @@ class SparseSymMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
 
     def scaled(self, dvec: np.ndarray) -> "SparseSymMatrix":
         D = sparse.diags(dvec)
@@ -225,9 +222,10 @@ def sym_function(A, f) -> np.ndarray:
 
 
 def condition_number(A) -> float:
-    """2-norm condition number; dense up to ``DENSE_MAX_P``, else Lanczos."""
+    """2-norm condition number: dense for a dense array (it is formed already)
+    or up to ``DENSE_MAX_P``, else Lanczos."""
     p = A.shape[0]
-    if p <= DENSE_MAX_P:
+    if isinstance(A, np.ndarray) or p <= DENSE_MAX_P:
         ev = dense_eigvals(A)
         lo, hi = float(ev[0]), float(ev[-1])
     else:

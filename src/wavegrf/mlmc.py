@@ -28,8 +28,6 @@ class SampleSchedule:
     J: int
     counts: dict                       # level -> samples available at that level
     n: int
-    alpha: float
-    alpha0: float
 
     def __post_init__(self):
         lv = sorted(self.counts)
@@ -56,7 +54,7 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
     rate = (n + alpha) * 2.0 / 3.0
     counts = {j: int(np.ceil(M_finest * 2.0 ** ((J - j) * rate)))
               for j in range(j0, J + 1)}
-    return SampleSchedule(j0=j0, J=J, counts=counts, n=n, alpha=alpha, alpha0=alpha0)
+    return SampleSchedule(j0=j0, J=J, counts=counts, n=n)
 
 
 #: read-only level roots by (sha256 of C, shape, p_j), least recently used first

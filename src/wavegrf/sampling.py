@@ -30,11 +30,8 @@ from .wavelets import LevelIndexSet, diag_scaling
 @dataclass(frozen=True)
 class ContourQuadrature:
     c_minus: float
-    c_plus: float
     K: int
-    m: float                      # elliptic parameter 1 - c-/c+
     half_period: float            # K(m), the integration endpoint
-    nodes: np.ndarray             # t_k
     poles: np.ndarray             # w_k^2
     weights: np.ndarray           # dn/cn^2 at the nodes
     scalar: bool = False          # degenerate bounds: sqrt(c) * identity
@@ -62,14 +59,13 @@ def build_contour(bounds: SpectralBounds, K: int) -> ContourQuadrature:
     if lo <= 0 or hi <= 0:
         raise ValueError("spectral bounds must be positive")
     if np.isclose(lo, hi, rtol=1e-12):
-        return ContourQuadrature(lo, hi, K, 0.0, np.pi / 2,
-                                 np.zeros(K), np.zeros(K), np.zeros(K), scalar=True)
+        return ContourQuadrature(lo, K, np.pi / 2, np.zeros(K), np.zeros(K), scalar=True)
     m = 1.0 - lo / hi
     T, _ = elliptic_complete(m)
     t = (np.arange(1, K + 1) - 0.5) * T / K
     sn, cn, dn = jacobi_sn_cn_dn(t, m)
     w2 = lo * (sn / cn) ** 2
-    return ContourQuadrature(lo, hi, K, m, T, t, w2, dn / cn**2)
+    return ContourQuadrature(lo, K, T, w2, dn / cn**2)
 
 
 def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
@@ -125,8 +121,6 @@ def sqrt_matrix(R, contour: ContourQuadrature) -> np.ndarray:
 @dataclass
 class GrfSample:
     coefficients: np.ndarray
-    seed: int
-    sample_index: int
 
 
 class GrfSampler:
@@ -154,7 +148,7 @@ class GrfSampler:
 
     def draw(self, seed: int, sample_index: int = 0) -> GrfSample:
         xi = rng.standard_normal(seed, sample_index, self.idx.p)
-        return GrfSample(self._apply(xi), seed, sample_index)
+        return GrfSample(self._apply(xi))
 
     def draw_matrix(self, seed: int, count: int) -> np.ndarray:
         """(count, p) array of the samples with indices 0, ..., count - 1."""

@@ -57,10 +57,6 @@ class LevelIndexSet:
             out[self.level_slice(j)] = j
         return out
 
-    def truncate(self, J: int) -> "LevelIndexSet":
-        """Nested sub-index-set; its flat layout is a prefix of this one."""
-        return LevelIndexSet(self.j0, J)
-
 
 def index_set_for_dim(p: int, j0: int) -> LevelIndexSet:
     J = int(p).bit_length() - 2

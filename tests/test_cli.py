@@ -59,7 +59,7 @@ def _refuse(*args):
 def test_sample_and_krige_take_krylov_side_above_dense_max_p(tmp_path, monkeypatch):
     """Above ``linalg.DENSE_MAX_P`` the CLI takes Lanczos bounds and the CG
     sampler (no dense bounds, no dense sampler operator); the outputs match
-    the dense side's.  K_obs <= 32 keeps the dense Gram condition number."""
+    the dense side's."""
     from wavegrf import io, linalg, sampling
     runs = {"sample": ({"p": 64, "count": 3, "K": 40}, ["sample_coeffs.csv"]),
             "krige": ({"p": 64, "K_obs": 32, "K": 40},
@@ -77,6 +77,44 @@ def test_sample_and_krige_take_krylov_side_above_dense_max_p(tmp_path, monkeypat
             for col in want:
                 assert np.linalg.norm(got[col] - want[col]) <= \
                     1e-10 * np.linalg.norm(want[col]), (f, col)
+
+
+def test_krige_above_dense_max_p_observations_drops_gram_cond(tmp_path, monkeypatch):
+    """More observations than ``linalg.DENSE_MAX_P``: the dense Gram is refused,
+    so ``gram_cond`` is absent, and the predictions are still written and
+    match the dense side's."""
+    from wavegrf import io, linalg
+    cfg = {"p": 128, "K_obs": 64, "K": 40}
+    assert run(tmp_path, "krige", cfg, seed=11, name="dense")[0] == 0
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
+    assert run(tmp_path, "krige", cfg, seed=11, name="krylov")[0] == 0
+    text = (tmp_path / "krylov" / "krige_predictions.csv").read_text()
+    assert "# gram_cond: None\n" in text
+    want = io.read_csv(tmp_path / "dense" / "krige_predictions.csv")["value"]
+    got = io.read_csv(tmp_path / "krylov" / "krige_predictions.csv")["value"]
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_tables_dense_single_scale_cond_above_dense_max_p(tmp_path, monkeypatch):
+    """The single-scale matrix is dense already: its condition number takes the
+    dense eigensolver at any p (Lanczos cannot settle its smallest eigenvalue)."""
+    from wavegrf import io, linalg
+    cfg = {"kernel": "matern12", "families": [[2, 6]], "p_list": [512]}
+    assert run(tmp_path, "tables", cfg, name="dense")[0] == 0
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 256)
+    assert run(tmp_path, "tables", cfg, name="patched")[0] == 0
+    want, got = (io.read_csv(tmp_path / name / "tables_matern12.csv")["single_scale_cond"]
+                 for name in ("dense", "patched"))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_sample_rejects_nonpositive_count(tmp_path, capsys, count):
+    rc, out = run(tmp_path, "sample", {"p": 64, "count": count}, seed=2)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "count" in err["message"]
+    assert not (out / "sample_coeffs.csv").exists()
 
 
 def test_exact_bounds_key_is_refused(tmp_path, capsys):

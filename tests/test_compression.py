@@ -8,8 +8,7 @@ from wavegrf import compression, curves, kernels, linalg
 from wavegrf.compression import (ARC_SAMPLES, CompressionParams, TaperPattern,
                                  _classify_vs_threshold, _knot_gap,
                                  _sampled_knot_chord, aposteriori_threshold,
-                                 apply_pattern, build_pattern, sparsity_report,
-                                 taper_params)
+                                 apply_pattern, build_pattern, taper_params)
 from wavegrf.curves import ChordBounds
 from wavegrf.pipeline import _DEFAULT_FAMILY
 from wavegrf.wavelets import get_system
@@ -22,20 +21,13 @@ def std_params(dt=6, r=-2.0, a=2.0, ap=2.0):
 def test_dprime_rule_and_validation():
     p = std_params()
     assert p.resolved_dprime == pytest.approx(2.5)
-    assert not p.is_borderline
     # borderline dt = d - r admits d' = d
     pb = std_params(dt=4)
     assert pb.resolved_dprime == pytest.approx(2.0)
-    assert pb.is_borderline
     with pytest.raises(ValueError):
         CompressionParams(d=2, dt=6, r=-2.0, dprime=5.0)
     with pytest.raises(ValueError):
         CompressionParams(d=2, dt=6, r=-2.0, a=0.5)
-
-
-def test_consistency_scale():
-    p = std_params()
-    assert p.consistency_scale == pytest.approx(2.0**-2 + 2.0**-4)
 
 
 def test_taper_params_hand_values():
@@ -107,8 +99,7 @@ def test_apply_pattern_lossless_and_exact(model):
     m = model("matern12", 2, 6, 128)
     C = m.wavelet_dense
     full = TaperPattern(m.idx, np.ones_like(m.pattern.mask[:128, :128], dtype=bool)
-                        if m.idx.p == 128 else np.ones((128, 128), dtype=bool),
-                        m.params)
+                        if m.idx.p == 128 else np.ones((128, 128), dtype=bool))
     S = apply_pattern(C, full)
     assert np.array_equal(S.to_dense(), C)
     S2 = apply_pattern(C, m.pattern)
@@ -159,7 +150,7 @@ def test_aposteriori_threshold_limits(model):
     assert same.nnz == S.nnz
     only_diag = aposteriori_threshold(S, m.idx, m.order.ra, np.inf)
     assert only_diag.nnz == m.idx.p
-    np.testing.assert_array_equal(only_diag.diagonal(), S.diagonal())
+    np.testing.assert_array_equal(only_diag.csr.diagonal(), S.csr.diagonal())
     mid = aposteriori_threshold(S, m.idx, m.order.ra, 1e-4)
     assert m.idx.p <= mid.nnz <= S.nnz
     # symmetric drops
@@ -185,19 +176,6 @@ def test_aposteriori_sweep_over_correlation_length(model):
         kept.append(thr.nnz)
         assert m.idx.p <= thr.nnz <= m.tapered.nnz
     assert abs(kept[1] - kept[0]) <= 0.25 * kept[0]
-
-
-def test_sparsity_report(model):
-    m = model("matern12", 2, 6, 128)
-    rep = sparsity_report(m.pattern)
-    assert rep["nnz"] == m.pattern.nnz
-    assert rep["nnz_fraction"] == pytest.approx(m.pattern.nnz / 128.0**2)
-    assert sum(rep["blocks"].values()) == rep["nnz"]
-    # identity pattern has p entries
-    eye = TaperPattern(m.idx, np.eye(128, dtype=bool), m.params)
-    assert sparsity_report(eye)["nnz"] == 128
-    rep2 = sparsity_report(m.tapered, m.idx)
-    assert rep2["nnz"] == m.tapered.nnz
 
 
 def _dense_reference_pattern(system, curve, params, J):
@@ -320,7 +298,7 @@ def test_pattern_build_memory_scales_with_nnz(boundary):
 
 def test_dense_mask_refused_above_limit():
     idx = get_system(2, 6).index_set(12)       # p = 8192
-    pat = TaperPattern(idx, sparse.eye(idx.p, format="csr"), std_params())
+    pat = TaperPattern(idx, sparse.eye(idx.p, format="csr"))
     assert pat.nnz == idx.p
     with pytest.raises(ValueError):
         pat.mask

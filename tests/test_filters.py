@@ -79,13 +79,3 @@ def test_unsupported_pair_rejected():
         build_filter_bank(2, 3)
     with pytest.raises(ValueError):
         build_filter_bank(3, 5)
-
-
-def test_regularity_indices():
-    for d, dt in PAIRS:
-        fb = build_filter_bank(d, dt)
-        assert fb.gamma == pytest.approx(1.5)
-        assert fb.gamma_dual > 0
-    # dual regularity grows with dt
-    gds = [build_filter_bank(2, dt).gamma_dual for dt in (4, 6, 8, 10)]
-    assert all(a < b for a, b in zip(gds, gds[1:]))

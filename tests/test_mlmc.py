@@ -51,7 +51,7 @@ class ConstantSource:
         self.idx = idx
 
     def draw(self, j_res, count, stream_id, cols=slice(None)):
-        p = self.idx.truncate(j_res).p
+        p = 2 ** (j_res + 1)
         return np.tile(self.v[:p][cols], (count, 1))
 
 
@@ -151,7 +151,7 @@ def test_large_sample_estimate_approaches_truth(model):
     m = model("matern12", 2, 6, 16)
     M = 200_000
     sched = mlmc.SampleSchedule(j0=m.idx.j0, J=m.idx.J,
-                                counts={2: M, 3: M}, n=1, alpha=0.5, alpha0=2.0)
+                                counts={2: M, 3: M}, n=1)
     C = m.tapered.to_dense()
     src = GaussianCoefficientSource(C, m.idx, seed=31)
     est = estimate(m.pattern, sched, src, seed=31).matrix.to_dense()
@@ -310,7 +310,7 @@ def test_csv_source_roundtrip_and_exhaustion(tmp_path, model):
     rng = np.random.default_rng(3)
     files = {}
     for j in m.idx.levels:
-        p_j = m.idx.truncate(j).p
+        p_j = 2 ** (j + 1)
         data = rng.standard_normal((8, p_j))
         path = tmp_path / f"samples_level{j}.csv"
         write_sample_csv(path, j, data)

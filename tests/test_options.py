@@ -2,9 +2,10 @@
 
 A parameter with a default that no call in ``src/`` or ``bench/`` sets is a
 constant in disguise: make it a module constant, or delete it, or name it in
-``KEPT`` with the reason it stays.  Calls are matched to definitions by name
-only (a call of a class sets the parameters of its ``__init__``), so a call
-of any function of the same name counts as setting it.
+``KEPT`` with the reason it stays.  A dataclass field with a default is a
+parameter of the dataclass's ``__init__``.  Calls are matched to definitions
+by name only (a call of a class sets the parameters of its ``__init__``), so
+a call of any function of the same name counts as setting it.
 """
 
 import ast
@@ -25,7 +26,6 @@ KEPT = {
     "WaveletSystem.wavelet_values:sweeps": "acceptance criterion 1 evaluates at sweeps = 10",
     "WaveletSystem.synthesize_on_grid:dual": "primal expansions, checked against a reference",
     "predict_at:resolution": "the prediction grid, checked at the single-scale level and above",
-    "sparsity_report:idx": "a matrix, unlike a pattern, carries no index set",
 }
 
 
@@ -36,6 +36,13 @@ def _defaulted_parameters():
         tree = ast.parse(path.read_text())
         owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                  for f in c.body if isinstance(f, ast.FunctionDef)}
+        for c in ast.walk(tree):
+            if isinstance(c, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in c.decorator_list):
+                fields = [s for s in c.body if isinstance(s, ast.AnnAssign)]
+                out += [(f"{c.name}.__init__:{s.target.id}", c.name, i)
+                        for i, s in enumerate(fields) if s.value is not None]
         for f in ast.walk(tree):
             if not isinstance(f, ast.FunctionDef):
                 continue

@@ -18,9 +18,8 @@ def test_contour_nodes_and_poles():
     assert np.all(q.poles > 0)
     assert np.all(q.weights > 0)
     q2 = build_contour(bounds(1.0, 4.0), 20)
-    # doubling K halves the node spacing, the half-period is unchanged
+    # doubling K leaves the half-period unchanged
     assert q2.half_period == pytest.approx(q.half_period)
-    assert np.diff(q2.nodes)[0] == pytest.approx(np.diff(q.nodes)[0] / 2.0)
     with pytest.raises(ValueError):
         build_contour(bounds(1.0, 4.0), 0)
     with pytest.raises(ValueError):
@@ -222,7 +221,6 @@ def test_draws_deterministic(model):
     assert np.array_equal(s1.coefficients, s2.coefficients)
     s3 = GrfSampler(m.tapered, m.idx, m.order.ra, q).draw(seed=43, sample_index=5)
     assert not np.array_equal(s1.coefficients, s3.coefficients)
-    assert s1.seed == 42
 
 
 def test_cg_sampler_matches_dense_sampler(model, monkeypatch):

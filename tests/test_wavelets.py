@@ -62,7 +62,7 @@ def test_index_set_sizes():
 
 def test_index_set_truncation_is_prefix():
     idx = LevelIndexSet(2, 6)
-    sub = idx.truncate(4)
+    sub = LevelIndexSet(2, 4)
     assert sub.p == 32
     lev = idx.level_of_position()
     assert np.array_equal(lev[:sub.p], sub.level_of_position())
