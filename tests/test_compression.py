@@ -178,6 +178,21 @@ def test_aposteriori_sweep_over_correlation_length(model):
     assert abs(kept[1] - kept[0]) <= 0.25 * kept[0]
 
 
+def test_sparsity_report(model):
+    """The sparsity the pattern command reports: the pattern's own nnz and
+    nnz_fraction, which its level-pair blocks and the tapered matrix share."""
+    m = model("matern12", 2, 6, 128)
+    assert m.pattern.nnz == int(m.pattern.mask.sum())
+    assert m.pattern.nnz_fraction == pytest.approx(m.pattern.nnz / 128.0**2)
+    levels = m.idx.levels
+    assert sum(len(m.pattern.block(j, jp)[0])
+               for j in levels for jp in levels) == m.pattern.nnz
+    # identity pattern has p entries
+    eye = TaperPattern(m.idx, np.eye(128, dtype=bool))
+    assert eye.nnz == 128
+    assert m.tapered.nnz == m.pattern.nnz
+
+
 def _dense_reference_pattern(system, curve, params, J):
     """Dense (p, p) taper mask from full per-block gap matrices: the
     reference that the windowed O(nnz) ``build_pattern`` must reproduce."""
