@@ -80,6 +80,7 @@ class TaperPattern:
 
     def __post_init__(self):
         self.csr = sparse.csr_matrix(self.csr, dtype=bool)
+        self.csr.sum_duplicates()           # canonical: row-major, sorted columns
 
     @property
     def nnz(self) -> int:
@@ -98,12 +99,21 @@ class TaperPattern:
 
     @cached_property
     def _blocks(self) -> dict:
-        rows = {j: self.csr[self.idx.level_slice(j)] for j in self.idx.levels}
-        return {(j, jp): rows[j][:, self.idx.level_slice(jp)].nonzero()
-                for j in self.idx.levels for jp in self.idx.levels}
+        # entries numbered from 1 in csr order, so that no entry reads as zero
+        ids = sparse.csr_matrix((np.arange(1, self.nnz + 1), self.csr.indices,
+                                 self.csr.indptr), shape=self.csr.shape)
+        rows = {j: ids[self.idx.level_slice(j)] for j in self.idx.levels}
+        coo = {(j, jp): rows[j][:, self.idx.level_slice(jp)].tocoo()
+               for j in self.idx.levels for jp in self.idx.levels}
+        # the mirror block (j', j) in the order of the transposed entries
+        return {(j, jp): (b.row, b.col, b.data - 1,
+                          coo[jp, j].data[np.lexsort((coo[jp, j].row, coo[jp, j].col))] - 1)
+                for (j, jp), b in coo.items()}
 
-    def block(self, j: int, jp: int) -> tuple[np.ndarray, np.ndarray]:
-        """Local (rows, cols) of the kept entries of level-pair block (j, j')."""
+    def block(self, j: int, jp: int) -> tuple[np.ndarray, ...]:
+        """Local (rows, cols) of the kept entries of level-pair block (j, j'),
+        row-major, then the positions in ``csr.data`` of those entries and of
+        their mirrors in block (j', j)."""
         return self._blocks[j, jp]
 
     def to_coo(self) -> sparse.coo_matrix:

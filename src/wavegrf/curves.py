@@ -142,16 +142,41 @@ def _golden_max(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
+def _left_turns(x, y, k) -> np.ndarray:
+    """Whether the closed polygon ``k`` turns strictly left at each vertex."""
+    p, n = np.roll(k, 1), np.roll(k, -1)
+    return (x[k] - x[p]) * (y[n] - y[k]) - (y[k] - y[p]) * (x[n] - x[k]) > 0
+
+
+def _hull(x, y) -> np.ndarray:
+    """Ascending indices of the hull vertices of star-shaped points in angular
+    order, none collinear with its neighbours.
+
+    One pass drops each vertex not turning strictly left, a hull vertex never;
+    on a convex curve that is all.  Otherwise one scan of the survivors from
+    the rightmost one (a hull vertex) pops every vertex that stops turning
+    left (Graham's scan around an interior point), with the same arithmetic.
+    """
+    k = np.arange(len(x))
+    left = _left_turns(x, y, k)
+    if left.all():
+        return k
+    k = k[left]
+    xs, ys = x[k].tolist(), y[k].tolist()
+    s = int(np.lexsort((y[k], x[k]))[-1])
+    st = [s]
+    for v in [*range(s + 1, len(k)), *range(s + 1)]:
+        while len(st) > 1 and ((xs[st[-1]] - xs[st[-2]]) * (ys[v] - ys[st[-1]])
+                               - (ys[st[-1]] - ys[st[-2]]) * (xs[v] - xs[st[-1]])) <= 0:
+            st.pop()
+        st.append(v)
+    return k[np.sort(st[:-1])]
+
+
 def _farthest_grid_pair(x, y) -> tuple[int, int, float]:
     """The pair ``i <= j`` of largest ``(x_i - x_j)**2 + (y_i - y_j)**2``,
     lexicographically first among exact ties; see ``diameter``."""
-    k = np.arange(len(x))
-    while True:
-        p, n = np.roll(k, 1), np.roll(k, -1)
-        left = (x[k] - x[p]) * (y[n] - y[k]) - (y[k] - y[p]) * (x[n] - x[k]) > 0
-        if left.all():
-            break
-        k = k[left]
+    k = _hull(x, y)
     # vertex m supports the outward normals th[m-1]..th[m] of its two edges
     th = np.unwrap(np.arctan2(x[k] - x[np.roll(k, -1)], y[np.roll(k, -1)] - y[k]))
     ext = np.concatenate([th, th + TWO_PI])
@@ -171,12 +196,12 @@ def diameter(curve: CurveSpec) -> float:
     refined by coordinate-wise golden-section search to 1e-10 relative.
 
     That pair is antipodal on the hull (Shamos).  Star-shaped curve points come
-    in angular order, so passes dropping each vertex not turning strictly left
-    leave the hull; each hull vertex meets the cyclic range of vertices whose
-    normal cones hold the opposite of its own, with one of margin per side:
-    about 4 pairs per vertex.  O(GRID) memory, and O(GRID) work per hull pass
-    (one pass if the curve is convex).  Exact ties keep the first ``i <= j``
-    in lexicographic order, as a row-order upper-triangle scan does.
+    in angular order, so one vectorized pass and, unless the curve is convex,
+    one scan of the survivors give the hull (``_hull``); each hull vertex meets
+    the cyclic range of vertices whose normal cones hold the opposite of its
+    own, with one of margin per side: about 4 pairs per vertex.  O(GRID)
+    memory and work.  Exact ties keep the first ``i <= j`` in lexicographic
+    order, as a row-order upper-triangle scan does.
     """
     phi = np.linspace(0.0, TWO_PI, GRID, endpoint=False)
     bi, bj, best = _farthest_grid_pair(*curve.xy(phi).T)

@@ -22,7 +22,9 @@ class SparseSymMatrix:
 
     def __init__(self, csr: sparse.csr_matrix, check: bool = True):
         csr = sparse.csr_matrix(csr)
-        csr.eliminate_zeros()
+        if not csr.data.all():          # in a copy: the caller's arrays stay as they are
+            csr = csr.copy()
+            csr.eliminate_zeros()
         csr.sum_duplicates()
         if check:
             if csr.shape[0] != csr.shape[1]:

@@ -6,11 +6,21 @@ follows the geometric schedule ``M~_j = M_finest * 2^((J-j)(n+alpha)2/3)``
 (rounded up), anchored at the finest level.  Each block uses fresh draws;
 blocks (j,j') and (j',j) are estimated once and mirrored, gathered on the
 taper pattern only.  Dense level roots are cached per covariance content.
+
+Every draw of a block (j,j') with j <= j' is at resolution j', so ``estimate``
+runs one task per level j' on the calling thread and one helper thread per
+further available CPU (no more threads than levels; there is no setting for
+it).  Source contract: draws at one level come from one thread, in serial
+stream order; draws at different levels may run at the same time.  The
+result does not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +70,8 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
 #: read-only level roots by (sha256 of C, shape, p_j), least recently used first
 _ROOTS: dict = {}
 _ROOTS_MAX = 16
+#: guards every lookup, insertion and eviction of ``_ROOTS``
+_ROOTS_LOCK = threading.Lock()
 #: largest level dimension p_j given a dense root
 ROOT_MAX_P = 4096
 
@@ -77,7 +89,7 @@ class GaussianCoefficientSource:
     leading principal block of the covariance (the law of the truncated
     coefficient vector), cached per content of ``C``; the source keeps a copy,
     so later changes to ``C`` cannot mislabel a cached root.  Draws are keyed
-    by (seed, stream), reproducible.
+    by (seed, stream), reproducible.  Safe to call from several threads.
     """
 
     def __init__(self, C: np.ndarray, idx: LevelIndexSet, seed: int):
@@ -85,31 +97,38 @@ class GaussianCoefficientSource:
         self.seed = seed
         self.C = np.array(C, dtype=float, order="C")
         self._digest = hashlib.sha256(self.C).digest()
-        self._xi = np.empty(0)          # reused buffer of the standard normals
+        self._local = threading.local()     # per-thread reused normals buffer ``xi``
 
     def _root(self, j: int) -> np.ndarray:
         if not self.idx.j0 <= j <= self.idx.J:
             raise ValueError(f"level {j} outside [{self.idx.j0}, {self.idx.J}]")
         p_j = 2 ** (j + 1)
         key = (self._digest, self.C.shape, p_j)
-        root = _ROOTS.pop(key, None)
-        if root is None:
-            if p_j > ROOT_MAX_P:
-                raise ValueError(f"dense level root capped at p = {ROOT_MAX_P}")
-            root = sym_function(self.C[:p_j, :p_j], _psd_sqrt)
-            root.flags.writeable = False
-        _ROOTS[key] = root
-        if len(_ROOTS) > _ROOTS_MAX:
-            del _ROOTS[next(iter(_ROOTS))]
+        with _ROOTS_LOCK:
+            root = _ROOTS.pop(key, None)
+            if root is not None:
+                _ROOTS[key] = root
+                return root
+        if p_j > ROOT_MAX_P:
+            raise ValueError(f"dense level root capped at p = {ROOT_MAX_P}")
+        root = sym_function(self.C[:p_j, :p_j], _psd_sqrt)
+        root.flags.writeable = False
+        with _ROOTS_LOCK:
+            root = _ROOTS.pop(key, root)        # a root another thread cached first
+            _ROOTS[key] = root
+            if len(_ROOTS) > _ROOTS_MAX:
+                del _ROOTS[next(iter(_ROOTS))]
         return root
 
     def draw(self, j_res: int, count: int, stream_id: int, cols=slice(None)) -> np.ndarray:
         """Columns ``cols`` of (count, p(j_res)) i.i.d. coefficient vectors at
         resolution j_res, equal to those of the full draw."""
         root = self._root(j_res)
-        if self._xi.size < count * root.shape[0]:
-            self._xi = np.empty(count * root.shape[0])
-        xi = self._xi[:count * root.shape[0]].reshape(count, root.shape[0])
+        p_j = root.shape[0]
+        buf = getattr(self._local, "xi", None)
+        if buf is None or buf.size < count * p_j:
+            buf = self._local.xi = np.empty(count * p_j)
+        xi = buf[:count * p_j].reshape(count, p_j)
         rng.stream(self.seed, stream_id).standard_normal(out=xi)
         return xi @ root[cols].T
 
@@ -136,7 +155,9 @@ class CsvSampleSource:
                 f"sample source exhausted at level {j_res}: "
                 f"need {count}, have {len(data) - start} of {len(data)} left")
         self._used[j_res] = start + count
-        return data[start:start + count, cols]
+        # rows in C order, as a full draw has them: a column index array would
+        # give a transposed layout, and BLAS products differ in the last bit
+        return np.ascontiguousarray(data[start:start + count, cols])
 
 
 def write_sample_csv(path, level: int, samples: np.ndarray) -> None:
@@ -152,6 +173,37 @@ class MlmcEstimate:
     seed: int
 
 
+def _run_levels(task, levels) -> None:
+    """``task(j)`` for each level, finest first, on the calling thread and up
+    to one helper thread per further available CPU; re-raises a task's error
+    once every helper has stopped."""
+    todo = queue.SimpleQueue()
+    for j in sorted(levels, reverse=True):
+        todo.put(j)
+    failed = []
+
+    def work():
+        try:
+            while not failed:
+                try:
+                    j = todo.get_nowait()
+                except queue.Empty:
+                    return
+                task(j)
+        except BaseException as e:      # re-raised by the calling thread below
+            failed.append(e)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(len(os.sched_getaffinity(0)), len(levels)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if failed:
+        raise failed[0]
+
+
 def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
              seed: int) -> MlmcEstimate:
     """Blockwise multilevel Monte Carlo estimator on the taper pattern.
@@ -161,36 +213,48 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
     per orientation); the two estimates are averaged, which keeps the result
     exactly symmetric and halves the off-diagonal block variance relative to
     a single mirrored estimate.
+
+    Block (j, j') with j <= j' draws at resolution j' from streams numbered
+    in row order of the blocks (one per diagonal block, two per off-diagonal
+    one).  The levels j' run concurrently; ``source.draw`` is called for one
+    level from one thread only, in increasing stream order, and for
+    different levels possibly at the same time.  The result is the same for
+    any number of threads.  It shares the index arrays of ``pattern.csr``.
     """
     idx = pattern.idx
     if sched.J != idx.J or sched.j0 != idx.j0:
         raise ValueError("schedule and pattern must share the level range")
-    parts = []                          # (rows, cols, values) on the pattern
+    levels = list(idx.levels)
+    streams = {}                        # block (j, j') -> its first stream id
     stream_id = 1
-    for a, j in enumerate(idx.levels):
-        sj = idx.level_slice(j)
-        for jp in idx.levels[a:]:
-            sp = idx.level_slice(jp)
-            m = sched.block_count(j, jp)
+    for a, j in enumerate(levels):
+        for jp in levels[a:]:
+            streams[j, jp] = stream_id
+            stream_id += 1 if jp == j else 2
+    data = np.empty(pattern.nnz)        # the estimate, in the order of pattern.csr
+
+    def level(jp):
+        """Blocks (j, j') and their mirrors for j <= j', in increasing j."""
+        sp = idx.level_slice(jp)
+        for j in levels[:levels.index(jp) + 1]:
+            sj, m, sid = idx.level_slice(j), sched.block_count(j, jp), streams[j, jp]
             if jp == j:
-                Z = source.draw(j, m, stream_id, sj)
-                stream_id += 1
+                Z = source.draw(j, m, sid, sj)
                 blk = (Z.T @ Z) / m
                 blk = 0.5 * (blk + blk.T)
             else:
                 # only the columns of levels j and j' are drawn, those of j first
                 n, cols = sj.stop - sj.start, np.r_[sj, sp]
-                Z = source.draw(jp, m, stream_id, cols)
-                Z2 = source.draw(jp, m, stream_id + 1, cols)
-                stream_id += 2
+                Z = source.draw(jp, m, sid, cols)
+                Z2 = source.draw(jp, m, sid + 1, cols)
                 blk = (Z[:, :n].T @ Z[:, n:]) / m
                 blk = 0.5 * (blk + (Z2[:, n:].T @ Z2[:, :n]).T / m)
-            r, c = pattern.block(j, jp)
-            parts.append((r + sj.start, c + sp.start, blk[r, c]))
-            if jp != j:
-                parts.append((c + sp.start, r + sj.start, blk[r, c]))
-    r, c, v = (np.concatenate(x) for x in zip(*parts))
-    M = sparse.csr_matrix((v, (r, c)), shape=(idx.p, idx.p))
+            r, c, pos, mirror = pattern.block(j, jp)
+            data[pos] = data[mirror] = blk[r, c]
+
+    _run_levels(level, levels)
+    csr = pattern.csr
+    M = sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
     return MlmcEstimate(matrix=SparseSymMatrix(M), seed=seed)
 
 
@@ -201,4 +265,5 @@ def error_report(est: MlmcEstimate, truth: np.ndarray, idx: LevelIndexSet) -> di
     E = est.matrix.to_dense()
     if not truth.shape == E.shape == (idx.p, idx.p):
         raise ValueError("dimension mismatch between estimate, truth and index set")
-    return {"op_norm_error": float(np.max(np.abs(dense_eigvals(truth - E))))}
+    np.subtract(truth, E, out=E)        # truth - E, without a second p x p array
+    return {"op_norm_error": float(np.max(np.abs(dense_eigvals(E))))}

@@ -194,6 +194,31 @@ def test_hull_search_matches_dense_grid_scan(curve, expected):
     assert diameter(curve) == expected
 
 
+def _iterated_hull(x, y):
+    """The former library hull: vectorized passes dropping each vertex not
+    turning strictly left, until none is dropped."""
+    k = np.arange(len(x))
+    while True:
+        p, n = np.roll(k, 1), np.roll(k, -1)
+        left = (x[k] - x[p]) * (y[n] - y[k]) - (y[k] - y[p]) * (x[n] - x[k]) > 0
+        if left.all():
+            return k
+        k = k[left]
+
+
+@pytest.mark.parametrize("curve", [c for c, _ in DIAMETERS]
+                         + [_peanut(a) for a in (60, 95, 99)])
+def test_hull_takes_one_pass_and_matches_iterated_passes(curve, monkeypatch):
+    """One vectorized pass, then one scan: the peanut r = 1 + 0.9 cos 2 phi
+    took 526 passes of the iterated hull."""
+    passes = []
+    turns = curves._left_turns
+    monkeypatch.setattr(curves, "_left_turns", lambda *a: passes.append(1) or turns(*a))
+    x, y = curve.xy(np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)).T
+    assert np.array_equal(curves._hull(x, y), _iterated_hull(x, y))
+    assert len(passes) == 1
+
+
 def test_import_does_not_load_scipy_spatial():
     """A library hull (scipy.spatial) would add about 0.2 s to every CLI start,
     which the benchmark's set-up timer does not see."""

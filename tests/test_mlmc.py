@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -325,3 +327,122 @@ def test_csv_source_roundtrip_and_exhaustion(tmp_path, model):
         src.draw(3, 1, 2)
     with pytest.raises(KeyError):
         src.draw(9, 1, 0)
+
+
+def _cpus(monkeypatch, n):
+    """Pretend that ``n`` CPUs are available to this process."""
+    monkeypatch.setattr(mlmc.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class RecordingSource:
+    """Gaussian draws, recording (level, stream id, thread) of each call."""
+
+    def __init__(self, src):
+        self.src, self.calls = src, []
+
+    def draw(self, j_res, count, stream_id, cols=slice(None)):
+        self.calls.append((j_res, stream_id, threading.get_ident()))
+        return self.src.draw(j_res, count, stream_id, cols)
+
+
+@pytest.mark.parametrize("p", [64, 512])
+def test_worker_count_does_not_change_the_estimate(model, monkeypatch, p):
+    """1, 2 or 5 workers give the same CSR as the dense accumulator; each
+    level draws from one thread, in increasing stream order."""
+    m = model("matern12", 2, 6, p)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=100)
+    C = m.tapered.to_dense()
+    want = dense_reference_estimate(m.pattern, sched,
+                                    GaussianCoefficientSource(C, m.idx, seed=4)).csr
+    for n in (1, 2, 5):
+        _cpus(monkeypatch, n)
+        src = RecordingSource(GaussianCoefficientSource(C, m.idx, seed=4))
+        got = estimate(m.pattern, sched, src, seed=4).matrix.csr
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        by_level = {}
+        for j, sid, thread in src.calls:
+            by_level.setdefault(j, []).append((sid, thread))
+        assert sorted(by_level) == list(m.idx.levels)
+        for calls in by_level.values():
+            assert [s for s, _ in calls] == sorted(s for s, _ in calls)
+            assert len({t for _, t in calls}) == 1
+        assert len({t for _, _, t in src.calls}) <= min(n, len(m.idx.levels))
+
+
+def test_root_cache_is_thread_safe(model, monkeypatch):
+    """More threads than CPUs ask at once for the roots of more covariances
+    than the cache holds: no error, the bound holds, every root is right."""
+    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    m = model("matern12", 2, 6, 64)
+    C = m.tapered.to_dense()
+    sources = [GaussianCoefficientSource(C + k * np.eye(64), m.idx, seed=0)
+               for k in range(mlmc._ROOTS_MAX + 8)]
+    jobs = [(s, j) for s in sources for j in (m.idx.j0, m.idx.j0 + 1)]
+    want = [s._root(j) for s, j in jobs]
+    mlmc._ROOTS.clear()
+    got, errors = [None] * len(jobs), []
+    start = threading.Barrier(8)
+
+    def run(t):
+        try:
+            start.wait()
+            for _ in range(10):
+                for i in list(range(t, len(jobs), 8)) + list(range(len(jobs) - 1 - t, -1, -8)):
+                    got[i] = jobs[i][0]._root(jobs[i][1])
+        except BaseException as e:
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(mlmc._ROOTS) <= mlmc._ROOTS_MAX
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _sample_files(tmp_path, m, sched, short_level=None):
+    """Per-level CSV files with exactly the rows ``estimate`` draws (one row
+    less at ``short_level``)."""
+    rng = np.random.default_rng(5)
+    files = {}
+    for a, j in enumerate(m.idx.levels):
+        rows = sched.counts[j] * (1 + 2 * a) - (j == short_level)
+        files[j] = tmp_path / f"samples_level{j}.csv"
+        write_sample_csv(files[j], j, rng.standard_normal((rows, 2 ** (j + 1))))
+    return files
+
+
+def test_csv_source_through_parallel_estimate(tmp_path, model, monkeypatch):
+    _cpus(monkeypatch, 3)
+    m = model("matern12", 2, 6, 32)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=20)
+    files = _sample_files(tmp_path, m, sched)
+    got = estimate(m.pattern, sched, CsvSampleSource(files), seed=0).matrix.csr
+    want = dense_reference_estimate(m.pattern, sched, CsvSampleSource(files)).csr
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def test_failing_level_task_raises_and_leaves_no_thread(tmp_path, model, monkeypatch):
+    _cpus(monkeypatch, 3)
+    m = model("matern12", 2, 6, 32)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=20)
+    before = threading.active_count()
+    for j in m.idx.levels:
+        files = _sample_files(tmp_path, m, sched, short_level=j)
+        with pytest.raises(RuntimeError, match=f"exhausted at level {j}:"):
+            estimate(m.pattern, sched, CsvSampleSource(files), seed=0)
+        assert threading.active_count() == before
+    estimate(m.pattern, sched, CsvSampleSource(_sample_files(tmp_path, m, sched)), seed=0)
+    assert threading.active_count() == before
