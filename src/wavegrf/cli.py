@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, kriging, linalg, mlmc, sampling
+from . import __version__, io, kriging, linalg, mlmc, rng, sampling
 from .compression import aposteriori_threshold
 from .filters import SUPPORTED_PAIRS, build_filter_bank
 from .kernels import KERNEL_NAMES
@@ -55,42 +55,60 @@ def _outdir(cfg) -> Path:
     return out
 
 
+def _as(key, value, kind):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config key {key!r}: {value!r} is not a {kind.__name__}") from e
+
+
+def _get(cfg, key, default, kind):
+    """``cfg[key]`` as ``kind``: ``default`` if absent, null only if that is None."""
+    value = cfg.get(key, default)
+    return None if value is None and default is None else _as(key, value, kind)
+
+
 def _model(cfg, kernel=None, wavelet=None, p=None) -> CovarianceModel:
     """The model of ``cfg``; ``CovarianceModel`` checks the kernel and the
     wavelet pair and picks the kernel's default pair."""
-    kernel = cfg.get("kernel", "matern12") if kernel is None else kernel
-    wavelet = cfg.get("wavelet") if wavelet is None else wavelet
-    p = int(cfg.get("p", 256) if p is None else p)
+    kernel = _get(cfg, "kernel", "matern12", str) if kernel is None else kernel
+    wavelet = _get(cfg, "wavelet", None, tuple) if wavelet is None else wavelet
+    p = _get(cfg, "p", 256, int) if p is None else p
     if p & (p - 1) or p < 8:
         raise ConfigError(f"p must be a power of two >= 8, got {p}")
-    comp = cfg.get("compression", {})
+    comp = _get(cfg, "compression", {}, dict)
     try:
         return CovarianceModel(kernel=kernel, wavelet=wavelet, p=p,
                                curve=cfg.get("curve", "paper-boundary"),
-                               ell=float(cfg.get("ell", 1.0)),
-                               a=float(comp.get("a", 2.0)),
-                               a_prime=float(comp.get("a_prime", 2.0)),
-                               dprime=comp.get("dprime"))
+                               ell=_get(cfg, "ell", 1.0, float),
+                               a=_get(comp, "a", 2.0, float),
+                               a_prime=_get(comp, "a_prime", 2.0, float),
+                               dprime=_get(comp, "dprime", None, float))
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
-def _list(cfg, key, default) -> list:
+def _list(cfg, key, default, kind) -> list:
     value = cfg.get(key, default)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
-    return value
+    return [_as(key, v, kind) for v in value]
 
 
 # -- subcommands -----------------------------------------------------------
 
+_TABLE_FAMILIES = {"matern12": [(2, 4), (2, 6), (2, 8)],
+                   "matern32": [(2, 6), (2, 8), (2, 10)],
+                   "matern52": [(2, 10)]}
+
+
 def cmd_tables(cfg) -> None:
     """Condition numbers and compression rates over dimension."""
-    kernel = cfg.get("kernel", "matern12")
+    kernel = _get(cfg, "kernel", "matern12", str)
     if kernel not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {kernel!r}")
-    families = [tuple(f) for f in _list(cfg, "families", _default_families(kernel))]
-    p_list = _list(cfg, "p_list", [32, 64, 128, 256, 512, 1024])
+    families = _list(cfg, "families", _TABLE_FAMILIES[kernel], tuple)
+    p_list = _list(cfg, "p_list", [32, 64, 128, 256, 512, 1024], int)
     rows = {"p": [], "level": [], "single_scale_cond": []}
     for d, dt in families:
         rows[f"nnz_pct_{d}{dt}"] = []
@@ -109,17 +127,11 @@ def cmd_tables(cfg) -> None:
     io.write_csv(_outdir(cfg) / f"tables_{kernel}.csv", rows, meta)
 
 
-def _default_families(kernel: str):
-    return {"matern12": [(2, 4), (2, 6), (2, 8)],
-            "matern32": [(2, 6), (2, 8), (2, 10)],
-            "matern52": [(2, 10)]}[kernel]
-
-
 def cmd_decay(cfg) -> None:
     """Diagonal entries and per-level means of the wavelet-coordinate matrix."""
     out = _outdir(cfg)
-    kernels_ = _list(cfg, "kernels", ["matern12", "matern32", "matern52"])
-    p = int(cfg.get("p", 512))
+    kernels_ = _list(cfg, "kernels", ["matern12", "matern32", "matern52"], str)
+    p = _get(cfg, "p", 512, int)
     for kname in kernels_:
         m = _model(cfg, kernel=kname, p=p)
         diag = np.diag(m.wavelet_dense)
@@ -139,10 +151,10 @@ def cmd_decay(cfg) -> None:
 
 def cmd_corrlen(cfg) -> None:
     """A-priori vs a-posteriori compression across correlation lengths."""
-    kernel = cfg.get("kernel", "matern12")
-    ells = _list(cfg, "ells", [0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0])
-    delta = float(cfg.get("delta", 1e-6))
-    p = int(cfg.get("p", 256))
+    kernel = _get(cfg, "kernel", "matern12", str)
+    ells = _list(cfg, "ells", [0.0125, 0.025, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0], float)
+    delta = _get(cfg, "delta", 1e-6, float)
+    p = _get(cfg, "p", 256, int)
     rows = {"ell": [], "apriori_nnz_pct": [], "aposteriori_nnz_pct": []}
     meta = io.standard_meta(cfg)
     for ell in ells:
@@ -160,9 +172,9 @@ def cmd_corrlen(cfg) -> None:
 
 def cmd_sqrt_bench(cfg) -> None:
     """Square-root error versus node count, with mis-estimated conditioning."""
-    p = int(cfg.get("p", 1024))
+    p = _get(cfg, "p", 1024, int)
     m = _model(cfg, p=p)
-    Ks = _list(cfg, "K_list", [1, 5, 10, 15, 20, 25, 30, 40, 50, 60])
+    Ks = _list(cfg, "K_list", [1, 5, 10, 15, 20, 25, 30, 40, 50, 60], int)
     ev = dense_eigvals(m.preconditioned)
     sq = np.sqrt(ev)
     scale = float(np.max(sq))
@@ -184,11 +196,11 @@ def cmd_sqrt_bench(cfg) -> None:
 def cmd_sample(cfg) -> None:
     """Draw field samples; write coefficients, synthesized field, metadata."""
     m = _model(cfg)
-    count = int(cfg.get("count", 4))
+    count = _get(cfg, "count", 4, int)
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count}")
-    K = int(cfg.get("K", 40))
-    seed = int(cfg["seed"])
+    K = _get(cfg, "K", 40, int)
+    seed = _get(cfg, "seed", 0, int)
     contour = build_contour(m.spectral_bounds(), K)
     sampler = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour)
     Z = sampler.draw_matrix(seed, count)
@@ -196,7 +208,7 @@ def cmd_sample(cfg) -> None:
     meta = io.standard_meta(cfg) | {"model": m.meta, "K": K, "seed": seed}
     io.write_csv(out / "sample_coeffs.csv",
                  {f"sample{i}": Z[i] for i in range(count)}, meta)
-    res = int(cfg.get("resolution", m.idx.J + 3))
+    res = _get(cfg, "resolution", m.idx.J + 3, int)
     fields = {f"sample{i}": m.system.synthesize_on_grid(Z[i], res)
               for i in range(count)}
     grid = np.arange(2**res) / 2**res
@@ -206,12 +218,12 @@ def cmd_sample(cfg) -> None:
 
 def cmd_mlmc(cfg) -> None:
     """Covariance estimation error table over resolution (mean of R runs)."""
-    runs = int(cfg.get("runs", 10))
+    runs = _get(cfg, "runs", 10, int)
     if runs < 1:
         raise ConfigError(f"runs must be at least 1, got {runs}")
-    p_list = _list(cfg, "p_list", [8, 16, 32, 64, 128, 256, 512])
-    M_finest = int(cfg.get("M_finest", 100))
-    seed = int(cfg["seed"])
+    p_list = _list(cfg, "p_list", [8, 16, 32, 64, 128, 256, 512], int)
+    M_finest = _get(cfg, "M_finest", 100, int)
+    seed = _get(cfg, "seed", 0, int)
     rows = {"p": [], "level": [], "M_coarse": [], "op_error": [],
             "rel_error": [], "contraction": [], "work": []}
     meta = io.standard_meta(cfg)
@@ -246,12 +258,12 @@ def cmd_mlmc(cfg) -> None:
 def cmd_krige(cfg) -> None:
     """Posterior-mean prediction from box-average observations."""
     m = _model(cfg)
-    K = int(cfg.get("K_obs", 32))
+    K = _get(cfg, "K_obs", 32, int)
     if K < 1:
         raise ConfigError(f"K_obs must be at least 1, got {K}")
-    sigma2 = float(cfg.get("sigma2", 1e-2))
-    width = float(cfg.get("width", min(4.0 / m.idx.p, 0.5 / K)))
-    seed = int(cfg["seed"])
+    sigma2 = _get(cfg, "sigma2", 1e-2, float)
+    width = _get(cfg, "width", min(4.0 / m.idx.p, 0.5 / K), float)
+    seed = _get(cfg, "seed", 0, int)
     out = _outdir(cfg)
     obs_file = cfg.get("observations")
     if obs_file:
@@ -265,16 +277,15 @@ def cmd_krige(cfg) -> None:
         obs = kriging.equispaced_observations(K, width, sigma2)
     om = kriging.build_observation_matrix(m.system, obs, m.idx.J, m.curve)
     if not obs_file:
-        contour = build_contour(m.spectral_bounds(), int(cfg.get("K", 40)))
+        contour = build_contour(m.spectral_bounds(), _get(cfg, "K", 40, int))
         z = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour).draw(seed)
-        from . import rng as _rng
-        noise = _rng.standard_normal(seed, 10**6, obs.K) * np.sqrt(sigma2)
+        noise = rng.standard_normal(seed, 10**6, obs.K) * np.sqrt(sigma2)
         y = om.G @ z.coefficients + noise
     mu, res = kriging.posterior_mean(m.tapered, om, m.system, y, sigma2,
-                                     cg_tol=float(cfg.get("cg_tol", 1e-10)))
+                                     cg_tol=_get(cfg, "cg_tol", 1e-10, float))
     if not res.converged:
         raise RuntimeError(f"Gram CG stopped unconverged after {res.iterations} iterations")
-    targets = np.asarray(cfg.get("targets", (np.arange(256) / 256.0)))
+    targets = np.asarray(_list(cfg, "targets", list(np.arange(256) / 256.0), float))
     pred = kriging.predict_at(m.system, m.curve, mu, targets)
     # the Gram condition number needs the dense K x K Gram: absent above the size rule
     meta = io.standard_meta(cfg) | {

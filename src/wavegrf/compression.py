@@ -5,8 +5,9 @@ the supports of the two basis functions are farther apart (chordally, on the
 curve) than a level-pair cutoff ``tau_{jj'}``, or, for unequal levels, when
 the finer function's support keeps a distance ``tau'_{jj'}`` from the
 coarser one's spline knots while the supports themselves are close.  All
-pairs touching the coarsest block are kept.  The kept positions are stored
-as one symmetric boolean CSR matrix, built in O(nnz).  The cutoffs are
+pairs touching the coarsest block are kept.  The curve is evaluated at
+O(p * ARC_SAMPLES) points, tabulated once per level.  The kept positions are
+stored as one symmetric boolean CSR matrix, built in O(nnz).  The cutoffs are
 
   tau_{jj'}  = a  * max(2^-min(j,j'),
                         2^((2J(d'-r/2) - (j+j')(d'+dt)) / (2 dt + r)))
@@ -141,24 +142,24 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
     """A-priori taper pattern over ``Lambda_J`` with chordal distances.
 
     Support-to-support distances are minima over ``ARC_SAMPLES`` points
-    per arc (endpoints included); a two-sided comparison of chord versus
-    parameter distance keeps the sampled evaluations to a thin band.  As the
-    level-j' support centers are equispaced, only a circular window of
-    columns around each row can be within ``tau_{jj'}``, so O(nnz) pairs are
-    classified.  The cutoff formulas are evaluated with the single-scale
-    resolution level ``J + 1 = log2 p`` (the coarsest block shifts the
-    wavelet level count down by one relative to the dimension).
+    per arc (endpoints included), gathered from per-level tables of arc points
+    and spline knots (at most ``p * (ARC_SAMPLES + 2 dt + 3)`` curve points);
+    a two-sided comparison of chord versus parameter distance keeps the
+    sampled minima to a thin band.  As the level-j' support centers are
+    equispaced, only a circular window of columns around each row can be
+    within ``tau_{jj'}``, so O(nnz) pairs are classified.  The cutoffs use
+    the single-scale resolution level ``J + 1 = log2 p`` (the coarsest block
+    shifts the wavelet level count down by one relative to the dimension).
     """
     idx = system.index_set(J)
     j0 = idx.j0
     bounds = ChordBounds(curve)
-    rel = np.linspace(0.0, 1.0, ARC_SAMPLES)
-
-    def arc_points(g, ks):
-        t = (g["start"][ks][:, None] + rel[None, :] * g["width"]) % 1.0
-        return curve.xy_t(t)                       # (m, S, 2)
-
     geom = {j: system.level_geometry(j) for j in range(j0 + 1, J + 1)}
+    # (2^j, points, 2) curve points per level: ARC_SAMPLES per arc, 2 dt + 3 knots
+    arcs = {j: curve.xy_t((g["start"][:, None] + np.linspace(0.0, 1.0, ARC_SAMPLES)
+                           * g["width"]) % 1.0) for j, g in geom.items()}
+    knots = {j: curve.xy_t((g["start"][:, None] + np.arange(2 * system.dt + 3)
+                            * g["knot_step"]) % 1.0) for j, g in geom.items()}
 
     def circ(x):
         x = np.abs(np.mod(x, 1.0))
@@ -186,11 +187,8 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
             if j > j0 and half < 0.5:
                 gap = np.maximum(0.0, circ(gj["center"][ii] - gp["center"][jj]) - half)
 
-                def support_chord(which):
-                    a = arc_points(gj, ii[which[0]])
-                    b = arc_points(gp, jj[which[0]])
-                    d = a[:, :, None, :] - b[:, None, :, :]
-                    return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
+                def support_chord(w):
+                    return _min_chord(arcs[j][ii[w]], arcs[jp][jj[w]])
 
                 drop = _classify_vs_threshold(gap, tau, bounds, support_chord)
                 if jp > j:
@@ -200,9 +198,8 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
                     cand = np.nonzero(near & ~drop)[0]
                     kgap = _knot_gap(gj, gp, ii[cand], jj[cand])
 
-                    def chord_knots(which):
-                        sel = cand[which[0]]
-                        return _sampled_knot_chord(curve, j, jp, ii[sel], jj[sel], geom, rel)
+                    def chord_knots(w):
+                        return _min_chord(knots[j][ii[cand[w]]], arcs[jp][jj[cand[w]]])
 
                     drop[cand[_classify_vs_threshold(kgap, taup, bounds, chord_knots)]] = True
                 ii, jj = ii[~drop], jj[~drop]
@@ -213,6 +210,12 @@ def build_pattern(system: WaveletSystem, curve: CurveSpec,
     r, c = np.concatenate(rows), np.concatenate(cols)
     csr = sparse.csr_matrix((np.ones(len(r), dtype=bool), (r, c)), shape=(idx.p, idx.p))
     return TaperPattern(idx=idx, csr=csr)
+
+
+def _min_chord(a, b):
+    """Least distance between the point sets ``a[k]`` and ``b[k]``, per row k."""
+    d = a[:, :, None, :] - b[:, None, :, :]
+    return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
 
 
 def _knot_gap(gj, gp, ii, jj):
@@ -230,19 +233,6 @@ def _knot_gap(gj, gp, ii, jj):
     d = np.abs(delta - knot_pos * step)
     d = np.minimum(d, 1.0 - d)
     return np.maximum(0.0, d - w_f / 2.0)
-
-
-def _sampled_knot_chord(curve, j, jp, ii, jj, geom, rel):
-    """Min chordal distance between coarse knots and sampled fine arcs."""
-    gj, gp = geom[j], geom[jp]
-    step = gj["knot_step"]
-    nk = int(round(gj["width"] / step)) + 1
-    knots_t = (gj["start"][ii][:, None] + np.arange(nk)[None, :] * step) % 1.0
-    kp = curve.xy_t(knots_t)                       # (m, nk, 2)
-    t = (gp["start"][jj][:, None] + rel[None, :] * gp["width"]) % 1.0
-    ap = curve.xy_t(t)                             # (m, S, 2)
-    d = kp[:, :, None, :] - ap[:, None, :, :]
-    return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
 
 
 def apply_pattern(A: np.ndarray, pattern: TaperPattern):

@@ -30,12 +30,11 @@ _single_scale = lru_cache(maxsize=1)(assembly.assemble_single_scale)
 class CovarianceModel:
     """All derived objects for one (curve, kernel, wavelet family, p) choice."""
 
-    def __init__(self, kernel="matern12", wavelet: tuple[int, int] | None = None, *,
+    def __init__(self, kernel: str = "matern12", wavelet: tuple[int, int] | None = None, *,
                  p: int, curve: curves.CurveSpec | str | dict = "paper-boundary",
                  ell: float = 1.0, a: float = 2.0, a_prime: float = 2.0,
                  dprime: float | None = None, normalize_curve: bool = True):
-        self.kernel = (kernel if isinstance(kernel, kernels.KernelSpec)
-                       else kernels.kernel_from_name(kernel, ell=ell))
+        self.kernel = kernels.kernel_from_name(kernel, ell=ell)
         d, dt = wavelet if wavelet is not None else default_wavelet_for(self.kernel.name)
         self.system = wavelets.get_system(d, dt)
         self.idx = self.system.index_set_for_dim(p)

@@ -229,6 +229,26 @@ def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("cmd,cfg", [
+    ("sample", {"p": None}), ("krige", {"p": None}),
+    ("sample", {"ell": None}), ("tables", {"ell": None}), ("krige", {"ell": None}),
+    ("sample", {"count": None}), ("sample", {"compression": 5}),
+    ("sample", {"wavelet": 5}), ("krige", {"wavelet": 5}),
+    ("tables", {"families": [5]}),
+    ("tables", {"p_list": [None]}), ("mlmc", {"p_list": [None]}),
+    ("krige", {"targets": [None], "p": 64}),
+])
+def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
+    """A config value of the wrong JSON type is a config error naming its key:
+    no TypeError, no fallback to the config's p for a null in p_list, and no
+    prediction at a null target."""
+    rc, out = run(tmp_path, cmd, {"p": 16, "p_list": [16], "runs": 1} | cfg, seed=2)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and repr(next(iter(cfg))) in err["message"]
+    assert not any(out.glob("*.csv"))
+
+
 @pytest.mark.parametrize("text", [None, "width,value\n0.5,0.1\n", "center,value\n0.5,0.1\n",
                                   "center,width\n0.5,0.1\n", "# no header\n"])
 def test_krige_bad_observations_file_exits_2(tmp_path, capsys, text):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,7 @@ from scipy import sparse
 
 from wavegrf import compression, curves, kernels, linalg
 from wavegrf.compression import (ARC_SAMPLES, CompressionParams, TaperPattern,
-                                 _classify_vs_threshold, _knot_gap,
-                                 _sampled_knot_chord, aposteriori_threshold,
+                                 _classify_vs_threshold, _knot_gap, aposteriori_threshold,
                                  apply_pattern, build_pattern, taper_params)
 from wavegrf.curves import ChordBounds
 from wavegrf.pipeline import _DEFAULT_FAMILY
@@ -193,6 +193,19 @@ def test_sparsity_report(model):
     assert m.tapered.nnz == m.pattern.nnz
 
 
+def _sampled_knot_chord(curve, j, jp, ii, jj, geom, rel):
+    """Min chordal distance between coarse knots and sampled fine arcs."""
+    gj, gp = geom[j], geom[jp]
+    step = gj["knot_step"]
+    nk = int(round(gj["width"] / step)) + 1
+    knots_t = (gj["start"][ii][:, None] + np.arange(nk)[None, :] * step) % 1.0
+    kp = curve.xy_t(knots_t)                       # (m, nk, 2)
+    t = (gp["start"][jj][:, None] + rel[None, :] * gp["width"]) % 1.0
+    ap = curve.xy_t(t)                             # (m, S, 2)
+    d = kp[:, :, None, :] - ap[:, None, :, :]
+    return np.sqrt(np.sum(d * d, axis=-1)).min(axis=(1, 2))
+
+
 def _dense_reference_pattern(system, curve, params, J):
     """Dense (p, p) taper mask from full per-block gap matrices: the
     reference that the windowed O(nnz) ``build_pattern`` must reproduce."""
@@ -295,6 +308,34 @@ def test_pattern_matches_dense_reference_p4096(boundary):
     pat = build_pattern(sys_, boundary, params, J=11)
     assert pat.nnz == 693612
     assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, 11))
+
+
+@pytest.mark.parametrize("p, nnz, digest", [
+    (8192, 1535404, "dec6faff6eb3958f727ca5689da32a9a413ad7dbf1af1a899d75ecc3f55bd3bc"),
+    (16384, 3336248, "e0fd6b001c449481b631da9f7013bc5866f1f0227cd431b91e536c22795a3823")])
+def test_large_pattern_pinned(boundary, p, nnz, digest):
+    """Above the dense reference's reach the pattern CSR is pinned bit for bit."""
+    sys_, params = _family_params("matern12")
+    csr = build_pattern(sys_, boundary, params, int(np.log2(p)) - 1).csr
+    assert csr.nnz == nnz
+    assert hashlib.sha256(csr.indptr.tobytes() + csr.indices.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [512, 4096])
+@pytest.mark.parametrize("kname", ["matern12", "matern52"])        # families (2, 6), (2, 10)
+def test_pattern_curve_points_per_level(boundary, monkeypatch, kname, p):
+    """The curve is evaluated once per support arc and knot, not per pair."""
+    sys_, params = _family_params(kname)
+    points = []
+    xy_t = curves.CurveSpec.xy_t
+
+    def counted(self, t):
+        points.append(np.size(t))
+        return xy_t(self, t)
+
+    monkeypatch.setattr(curves.CurveSpec, "xy_t", counted)
+    build_pattern(sys_, boundary, params, int(np.log2(p)) - 1)
+    assert 0 < sum(points) <= p * (ARC_SAMPLES + 2 * sys_.dt + 3)
 
 
 def test_pattern_build_memory_scales_with_nnz(boundary):
