@@ -20,7 +20,7 @@ print(f"preconditioned spectrum: [{ev[0]:.3f}, {ev[-1]:.3f}]  "
 
 print("\nsquare-root error vs node count:")
 for K in (4, 8, 12, 16, 20, 40):
-    q = build_contour(SpectralBounds(ev[0], ev[-1], "dense", 0.0), K)
+    q = build_contour(SpectralBounds(ev[0], ev[-1]), K)
     err = np.max(np.abs(q.scalar_values(ev) - sq)) / sq.max()
     print(f"  K={K:2d}: {err:.2e}")
 

@@ -29,5 +29,5 @@ from .mlmc import (SampleSchedule, schedule, GaussianCoefficientSource,
 from .kriging import (ObservationSet, ObservationMatrix,
                       equispaced_observations, build_observation_matrix,
                       posterior_mean, posterior_mean_dense, gram_matrix,
-                      gram_condition, predict_at)
+                      predict_at)
 from .pipeline import CovarianceModel, default_wavelet_for

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import __version__, io, kriging, linalg, mlmc, rng, sampling
 from .compression import aposteriori_threshold
@@ -134,7 +135,7 @@ def cmd_decay(cfg) -> None:
     p = _get(cfg, "p", 512, int)
     for kname in kernels_:
         m = _model(cfg, kernel=kname, p=p)
-        diag = np.diag(m.wavelet_dense)
+        diag = m.tapered.csr.diagonal()
         lev = m.idx.level_of_position()
         means = [float(np.mean(diag[m.idx.level_slice(j)])) for j in m.idx.levels]
         wl = list(m.idx.levels)[1:]
@@ -185,7 +186,7 @@ def cmd_sqrt_bench(cfg) -> None:
     for name, (lo, hi) in variants.items():
         errs = []
         for K in Ks:
-            q = build_contour(SpectralBounds(lo, hi, "dense", 0.0), K)
+            q = build_contour(SpectralBounds(lo, hi), K)
             errs.append(float(np.max(np.abs(q.scalar_values(ev) - sq)) / scale))
         rows[f"rel_err_{name}"] = errs
     io.write_csv(_outdir(cfg) / "sqrt_bench.csv", rows,
@@ -266,6 +267,8 @@ def cmd_krige(cfg) -> None:
     seed = _get(cfg, "seed", 0, int)
     out = _outdir(cfg)
     obs_file = cfg.get("observations")
+    if not isinstance(obs_file, (str, type(None))):
+        raise ConfigError(f"config key 'observations': {obs_file!r} is not a file name")
     if obs_file:
         try:
             raw = io.read_csv(obs_file)
@@ -290,7 +293,7 @@ def cmd_krige(cfg) -> None:
     # the Gram condition number needs the dense K x K Gram: absent above the size rule
     meta = io.standard_meta(cfg) | {
         "model": m.meta, "cg_iterations": res.iterations,
-        "gram_cond": (kriging.gram_condition(m.tapered, om, sigma2)
+        "gram_cond": (condition_number(kriging.gram_matrix(m.tapered, om, sigma2))
                       if obs.K <= linalg.DENSE_MAX_P else None)}
     io.write_csv(out / "krige_predictions.csv", {"t": targets, "value": pred}, meta)
     io.write_csv(out / "krige_observations.csv",
@@ -300,11 +303,11 @@ def cmd_krige(cfg) -> None:
                                io.standard_meta(cfg))
         io.write_matrix_market(out / "krige_C_eps.mtx", m.tapered.csr,
                                io.standard_meta(cfg))
-        T = m.system.ifwt_dual(np.eye(m.idx.p))
-        from scipy import sparse as _sp
-        io.write_matrix_market(out / "krige_T_dual.mtx",
-                               _sp.csr_matrix(np.where(np.abs(T) > 1e-14, T, 0.0)),
-                               io.standard_meta(cfg))
+        T = m.system.ifwt_dual(sparse.identity(m.idx.p, format="csr"))
+        T.data[np.abs(T.data) <= 1e-14] = 0.0
+        T.eliminate_zeros()
+        T.sort_indices()                 # mmwrite writes entries in stored order
+        io.write_matrix_market(out / "krige_T_dual.mtx", T, io.standard_meta(cfg))
     io.write_meta(out / "krige_meta.json", cfg, {"cg_iterations": res.iterations})
 
 

@@ -13,7 +13,7 @@ transform.  The posterior mean
 is evaluated by CG on the Gram system with sparse factors only: ``G`` is CSR
 with O(K log p) nonzeros (wavelets are local), so one iteration is three CSR
 products (``G^T``, ``C_eps``, ``G``) and the Gram matrix is never assembled.
-``G`` is built by one batched transform of the banded single-scale rows.
+``G`` is one sparse transform of the banded single-scale rows: no p x K array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from scipy import sparse
 
 from . import linalg
 from .curves import CurveSpec
-from .linalg import CgResult, cg_solve, dense_eigvals
+from .linalg import CgResult, cg_solve
 from .wavelets import WaveletSystem
 
 #: dyadic refinements of a fine cell in the observation quadrature
@@ -119,7 +119,7 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     keep = np.abs(vals) > 1e-14
     rows, cols, vals = pbox[keep], k[keep] % N, vals[keep]
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
-    G = sparse.csr_matrix(system.fwt(G_single.T.toarray()).T)   # drops exact zeros only
+    G = system.fwt(G_single.T).T.tocsr()
     return ObservationMatrix(G_single=G_single, G=G)
 
 
@@ -173,11 +173,6 @@ def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
     if K > linalg.DENSE_MAX_P:
         raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
     return FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
-
-
-def gram_condition(Ceps, obsmat: ObservationMatrix, sigma2: float) -> float:
-    ev = dense_eigvals(gram_matrix(Ceps, obsmat, sigma2))
-    return float(ev[-1] / ev[0])
 
 
 def predict_at(system: WaveletSystem, curve: CurveSpec, mu: np.ndarray,

@@ -143,14 +143,11 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
 class SpectralBounds:
     lambda_min: float
     lambda_max: float
-    method: str
-    rtol: float
 
     def widened(self) -> "SpectralBounds":
         """The interval stretched by ``1 + BOUNDS_SAFETY`` at both ends."""
         return SpectralBounds(self.lambda_min / (1.0 + BOUNDS_SAFETY),
-                              self.lambda_max * (1.0 + BOUNDS_SAFETY),
-                              self.method, self.rtol)
+                              self.lambda_max * (1.0 + BOUNDS_SAFETY))
 
 
 def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
@@ -181,16 +178,14 @@ def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
         beta = float(np.linalg.norm(u))
         cur = tuple(eigvalsh_tridiagonal(alphas, betas, select="i", select_range=(i, i))[0]
                     for i in (0, m))
-        if m + 1 == p:
-            return SpectralBounds(cur[0], cur[1], "lanczos", 0.0)
-        if prev is not None and beta > 0:
+        if m + 1 == p or beta == 0.0:
+            return SpectralBounds(*cur)
+        if prev is not None:
             ok_min = abs(cur[0] - prev[0]) <= tol * max(abs(cur[0]), 1e-300)
             ok_max = abs(cur[1] - prev[1]) <= tol * abs(cur[1])
             if ok_min and ok_max and m >= 8:
-                return SpectralBounds(cur[0], cur[1], "lanczos", tol)
+                return SpectralBounds(*cur)
         prev = cur
-        if beta == 0.0:
-            return SpectralBounds(cur[0], cur[1], "lanczos", 0.0)
         betas.append(beta)
         q_prev = q
         q = u / beta
@@ -199,7 +194,7 @@ def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
 
 def dense_bounds(A) -> SpectralBounds:
     ev = dense_eigvals(A)
-    return SpectralBounds(float(ev[0]), float(ev[-1]), "dense", 0.0)
+    return SpectralBounds(float(ev[0]), float(ev[-1]))
 
 
 def _require_symmetric(A) -> np.ndarray:

@@ -14,7 +14,8 @@ The fast transforms are chains of sparse level operators: one analysis
 level step at length ``n`` is an ``n x n`` CSR matrix built once from the
 filter masks and kept in a bounded cache keyed on ``(d, dt, kind, n)``.
 Each transform costs one sparse product per level, O(p) in total, and acts
-along axis 0, so a 2-D array is transformed column by column in one call.
+along axis 0, so a 2-D array is transformed column by column in one call;
+a scipy sparse matrix runs the same chain as sparse products and stays CSR.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ class WaveletSystem:
     Each map is a chain of cached sparse level operators: analysis applies
     the level steps of its own masks from the finest level down, synthesis
     applies the transposed level steps of the other family from the
-    coarsest level up.  Input of shape ``(p,)`` or ``(p, m)`` is accepted.
+    coarsest level up.  Input of shape ``(p,)`` or ``(p, m)`` is accepted,
+    dense or scipy sparse; sparse input comes back as CSR.
     """
 
     def __init__(self, d: int, dt: int, j0: int | None = None):
@@ -152,11 +154,16 @@ class WaveletSystem:
         return self._transform(coeffs, "fwt", synthesis=True)
 
     def _transform(self, values: np.ndarray, kind: str, synthesis: bool) -> np.ndarray:
-        x = np.array(values, dtype=float, order="C")
+        x = (sparse.csr_matrix(values, dtype=float, copy=True) if sparse.issparse(values)
+             else np.array(values, dtype=float, order="C"))
         J = self.index_set_for_dim(x.shape[0]).J
         for j in range(self.j0 + 1, J + 1) if synthesis else range(J, self.j0, -1):
             n = 2 ** (j + 1)
-            x[:n] = _level_operator(self.d, self.dt, kind, n, synthesis) @ x[:n]
+            op = _level_operator(self.d, self.dt, kind, n, synthesis)
+            if sparse.issparse(x):
+                x = sparse.vstack((op @ x[:n], x[n:]), format="csr")
+            else:
+                x[:n] = op @ x[:n]
         return x
 
     # -- support geometry --------------------------------------------------

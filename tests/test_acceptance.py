@@ -169,7 +169,7 @@ def test_criterion_05_sqrt_convergence(core):
     scale = sq.max()
 
     def err_at(K, lo, hi):
-        q = build_contour(SpectralBounds(lo, hi, "dense", 0.0), K)
+        q = build_contour(SpectralBounds(lo, hi), K)
         return float(np.max(np.abs(q.scalar_values(ev) - sq)) / scale)
 
     Ks = [4, 8, 12, 16, 20]

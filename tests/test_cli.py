@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy import io as spio
+from scipy import sparse
 
 from wavegrf.cli import main
 from wavegrf.curves import circle, normalize_to_unit_diameter, to_config
+from wavegrf.pipeline import default_wavelet_for
+from wavegrf.wavelets import get_system
 
 
 def run(tmp_path, cmd, cfg=None, seed=0, name="out"):
@@ -237,6 +241,8 @@ def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
     ("tables", {"families": [5]}),
     ("tables", {"p_list": [None]}), ("mlmc", {"p_list": [None]}),
     ("krige", {"targets": [None], "p": 64}),
+    ("krige", {"observations": 5, "p": 64}), ("krige", {"observations": ["obs.csv"], "p": 64}),
+    ("krige", {"observations": False, "p": 64}),
 ])
 def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
     """A config value of the wrong JSON type is a config error naming its key:
@@ -279,6 +285,12 @@ def test_krige_command_and_observation_file(tmp_path):
     assert (out / "krige_predictions.csv").exists()
     assert (out / "krige_G_single.mtx").exists()
     assert (out / "krige_C_eps.mtx").exists()
+    # the synthesis matrix, entry order included, as the dense transform of I gives it
+    T = get_system(*default_wavelet_for("matern12")).ifwt_dual(np.eye(64))
+    ref = sparse.csr_matrix(np.where(np.abs(T) > 1e-14, T, 0.0)).tocoo()
+    got = spio.mmread(out / "krige_T_dual.mtx")
+    for a in ("row", "col", "data"):
+        np.testing.assert_array_equal(getattr(got, a), getattr(ref, a))
     # feed the written observations back in through the CSV interface
     cfg2 = dict(cfg)
     cfg2["observations"] = str(out / "krige_observations.csv")

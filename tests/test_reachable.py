@@ -10,7 +10,8 @@ A program is the library itself (``src/wavegrf``), the benchmark
   implicitly and are left out.
 * Every dataclass field and every ``self.x`` attribute of a library class
   is read: some program loads ``.x``.  A load on ``self`` counts for its
-  own class only; a write (``self.x += 1`` too) counts for none.
+  own class only; a write (``self.x += 1`` too) counts for none, and so does
+  a load passed straight into a call of its own class, which only copies it.
 
 Names are matched by name only, as in ``test_options``: a load of ``.x``
 on any object other than ``self`` counts for every class with a field
@@ -91,9 +92,13 @@ def _reads(trees):
     own, any_object = set(), set()
     for tree in trees.values():
         for c in [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]:
+            copies = {id(a) for n in ast.walk(c) if isinstance(n, ast.Call)
+                      and getattr(n.func, "id", None) == c.name
+                      for a in n.args + [k.value for k in n.keywords]}
             own |= {f"{c.name}.{n.attr}" for n in ast.walk(c)
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                    and isinstance(n.value, ast.Name) and n.value.id == "self"}
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    and id(n) not in copies}
         any_object |= {n.attr for n in ast.walk(tree)
                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
                        and not (isinstance(n.value, ast.Name) and n.value.id == "self")}

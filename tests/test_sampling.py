@@ -9,7 +9,7 @@ from wavegrf.sampling import (GrfSampler, apply_sqrt, build_contour,
 
 
 def bounds(lo, hi):
-    return SpectralBounds(lo, hi, "dense", 0.0)
+    return SpectralBounds(lo, hi)
 
 
 def test_contour_nodes_and_poles():
@@ -248,13 +248,12 @@ def test_krylov_side_above_dense_max_p(model, monkeypatch):
         return bounds, sampler, sampler.draw_matrix(5, 2)
 
     b_dense, _, Z_dense = draws()
-    assert b_dense.method == "dense"
+    assert b_dense == dense_bounds(m.preconditioned)
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 256)
-    assert m.spectral_bounds(exact=True).method == "dense"      # still forced
+    assert m.spectral_bounds(exact=True) == b_dense               # still forced
     monkeypatch.setattr(linalg, "dense_bounds", _refuse)
     monkeypatch.setattr(sampling, "sqrt_matrix", _refuse)
     b_krylov, sampler, Z_krylov = draws()
-    assert b_krylov.method == "lanczos"
     assert b_krylov.lambda_min < b_dense.lambda_min <= b_dense.lambda_max < b_krylov.lambda_max
     assert sampler._op is None
     assert np.linalg.norm(Z_krylov - Z_dense) <= 1e-10 * np.linalg.norm(Z_dense)

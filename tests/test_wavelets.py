@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from wavegrf import kriging
 from wavegrf.filters import SUPPORTED_PAIRS
@@ -142,6 +143,15 @@ def test_block_transform_equals_columnwise(dt):
         Xt = X.T.copy().T
         np.testing.assert_array_equal(f(Xt), f(X))
         np.testing.assert_array_equal(Xt, X)
+    # sparse input, with an all-zero column, comes back as CSR with the dense bits
+    D = X[:, :4] * (np.random.default_rng(9).random((256, 4)) < 0.05)
+    D[:, 2] = 0.0
+    S = sparse.csr_matrix(D)
+    for name in TRANSFORMS:
+        f = getattr(sys_, name)
+        got = f(S)
+        assert sparse.issparse(got) and got.format == "csr", name
+        np.testing.assert_array_equal(got.toarray(), f(S.toarray()))
 
 
 def test_level_operator_cache_is_bounded():
