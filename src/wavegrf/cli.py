@@ -46,7 +46,8 @@ def _load_config(args) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", 0)
-    cfg["out"] = args.out or cfg.get("out", "out")
+    out = _get(cfg, "out", "out", str)
+    cfg["out"] = args.out or out
     return cfg
 
 
@@ -58,6 +59,8 @@ def _outdir(cfg) -> Path:
 
 def _as(key, value, kind):
     try:
+        if kind in (bool, str) and not isinstance(value, kind):    # bool() and str() accept anything
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config key {key!r}: {value!r} is not a {kind.__name__}") from e
@@ -116,12 +119,12 @@ def cmd_tables(cfg) -> None:
         rows[f"cond_{d}{dt}"] = []
     meta = io.standard_meta(cfg)
     for p in p_list:
-        first = _model(cfg, wavelet=families[0], p=p)
-        rows["p"].append(p)
-        rows["level"].append(int(np.log2(p)))
-        rows["single_scale_cond"].append(condition_number(first.single_scale))
-        for fam in families:
+        for i, fam in enumerate(families):
             m = _model(cfg, wavelet=fam, p=p)
+            if i == 0:          # the single-scale matrix is shared by the families
+                rows["p"].append(p)
+                rows["level"].append(int(np.log2(p)))
+                rows["single_scale_cond"].append(condition_number(m.single_scale))
             rows[f"nnz_pct_{fam[0]}{fam[1]}"].append(100.0 * m.pattern.nnz_fraction)
             rows[f"cond_{fam[0]}{fam[1]}"].append(condition_number(m.preconditioned))
         meta.setdefault("model", m.meta)
@@ -225,6 +228,7 @@ def cmd_mlmc(cfg) -> None:
     p_list = _list(cfg, "p_list", [8, 16, 32, 64, 128, 256, 512], int)
     M_finest = _get(cfg, "M_finest", 100, int)
     seed = _get(cfg, "seed", 0, int)
+    dump = _get(cfg, "dump_estimate", False, bool)
     rows = {"p": [], "level": [], "M_coarse": [], "op_error": [],
             "rel_error": [], "contraction": [], "work": []}
     meta = io.standard_meta(cfg)
@@ -249,7 +253,7 @@ def cmd_mlmc(cfg) -> None:
         rows["work"].append(sched.work())
         prev = err
         meta.setdefault("model", m.meta)
-        if cfg.get("dump_estimate") and p == p_list[-1]:
+        if dump and p == p_list[-1]:
             io.write_matrix_market(_outdir(cfg) / f"mlmc_estimate_p{p}.mtx",
                                    est.matrix.csr, io.standard_meta(cfg))
     meta["runs"] = runs
@@ -265,6 +269,7 @@ def cmd_krige(cfg) -> None:
     sigma2 = _get(cfg, "sigma2", 1e-2, float)
     width = _get(cfg, "width", min(4.0 / m.idx.p, 0.5 / K), float)
     seed = _get(cfg, "seed", 0, int)
+    dump = _get(cfg, "dump_factors", False, bool)
     out = _outdir(cfg)
     obs_file = cfg.get("observations")
     if not isinstance(obs_file, (str, type(None))):
@@ -298,7 +303,7 @@ def cmd_krige(cfg) -> None:
     io.write_csv(out / "krige_predictions.csv", {"t": targets, "value": pred}, meta)
     io.write_csv(out / "krige_observations.csv",
                  {"center": obs.centers, "width": obs.widths, "value": y}, meta)
-    if cfg.get("dump_factors"):
+    if dump:
         io.write_matrix_market(out / "krige_G_single.mtx", om.G_single,
                                io.standard_meta(cfg))
         io.write_matrix_market(out / "krige_C_eps.mtx", m.tapered.csr,
@@ -317,6 +322,7 @@ def cmd_pattern(cfg) -> None:
     With ``"dump_matrix": true`` the tapered covariance matrix itself is
     assembled and written as matrix market plus a raw entry CSV.
     """
+    dump = _get(cfg, "dump_matrix", False, bool)
     m = _model(cfg)
     out = _outdir(cfg)
     meta = io.standard_meta(cfg) | {"model": m.meta, "nnz": m.pattern.nnz,
@@ -324,7 +330,7 @@ def cmd_pattern(cfg) -> None:
     io.write_matrix_market(out / "pattern.mtx", m.pattern.to_coo(),
                            io.standard_meta(cfg))
     io.write_pattern_fingerprint(out / "pattern_fingerprint.csv", m.pattern, meta)
-    if cfg.get("dump_matrix"):
+    if dump:
         S = m.tapered
         io.write_matrix_market(out / "covariance_eps.mtx", S.csr,
                                io.standard_meta(cfg))

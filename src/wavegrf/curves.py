@@ -1,9 +1,10 @@
 """Closed parametrized curves in the plane.
 
-Two families are supported: circles, and star-shaped boundaries whose
-radius is a finite Fourier series
+Every curve is star-shaped with a radius given by a finite Fourier series
 
-    g(phi) = a0 + (1/100) * sum_{k=1..5} (a_{-k} sin(k phi) + a_k cos(k phi)).
+    g(phi) = a0 + (1/100) * sum_{k=1..n} (a_{-k} sin(k phi) + a_k cos(k phi));
+
+a circle is the one-term series g = a0.
 
 The test boundary used throughout the experiments ships as the preset
 ``paper_boundary()``.  All geometry (evaluation, arc-length weight, chordal
@@ -33,42 +34,34 @@ BOUNDARY_COEFFS = {
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A closed curve: ``circle`` of given radius or ``fourier`` boundary.
+    """A closed star-shaped curve, radius ``g`` a finite Fourier series.
 
+    A circle of radius r is the one-term series ``cos_coeffs=(r,)``.
     ``scale`` is a global rescaling of the ambient coordinates.
     """
 
-    kind: str                      # "circle" | "fourier"
-    radius: float = 1.0            # circle only
-    cos_coeffs: tuple = ()         # fourier: (a0, a1, ..., a5)
-    sin_coeffs: tuple = ()         # fourier: (a_{-1}, ..., a_{-5})
+    cos_coeffs: tuple              # (a0, a1, ..., an)
+    sin_coeffs: tuple = ()         # (a_{-1}, ..., a_{-n})
     scale: float = 1.0
 
     def __post_init__(self):
         # tuples keep the spec hashable (it keys the normalization cache)
         object.__setattr__(self, "cos_coeffs", tuple(self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(self.sin_coeffs))
-        v = np.array([self.radius, self.scale, *self.cos_coeffs, *self.sin_coeffs])
+        v = np.array([self.scale, *self.cos_coeffs, *self.sin_coeffs])
         if v.dtype.kind not in "biuf" or not np.isfinite(v).all():
-            raise ValueError("curve radius, scale and coefficients must be finite numbers")
-        if self.kind not in ("circle", "fourier"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "fourier" and not 0 < len(self.cos_coeffs) == len(self.sin_coeffs) + 1:
-            raise ValueError("a fourier curve needs cos_coeffs (a0, ..., an) and n sin_coeffs")
+            raise ValueError("curve scale and coefficients must be finite numbers")
+        if not 0 < len(self.cos_coeffs) == len(self.sin_coeffs) + 1:
+            raise ValueError("a curve needs cos_coeffs (a0, ..., an) and n sin_coeffs")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.kind == "circle" and self.radius <= 0:
-            raise ValueError("circle radius must be positive")
-        if self.kind == "fourier":
-            g = self.radius_at(np.linspace(0.0, TWO_PI, GRID, endpoint=False))
-            if np.min(g) <= 0:
-                raise ValueError("radius function must stay positive")
+        g = self.radius_at(np.linspace(0.0, TWO_PI, GRID, endpoint=False))
+        if np.min(g) <= 0:
+            raise ValueError("radius function must stay positive")
 
     # -- radius and derivatives ---------------------------------------------
     def radius_at(self, phi):
         phi = np.asarray(phi, dtype=float)
-        if self.kind == "circle":
-            return np.full_like(phi, self.radius)
         a = self.cos_coeffs
         b = self.sin_coeffs
         g = np.full_like(phi, a[0])
@@ -79,8 +72,6 @@ class CurveSpec:
     def radius_and_deriv(self, phi):
         """``(g(phi), g'(phi))``, each sin(k phi), cos(k phi) once."""
         phi = np.asarray(phi, dtype=float)
-        if self.kind == "circle":
-            return np.full_like(phi, self.radius), np.zeros_like(phi)
         a, b = self.cos_coeffs, self.sin_coeffs
         g, dg = np.full_like(phi, a[0]), np.zeros_like(phi)
         for k in range(1, len(a)):
@@ -224,14 +215,14 @@ def normalize_to_unit_diameter(curve: CurveSpec) -> CurveSpec:
 
 
 def circle(radius: float) -> CurveSpec:
-    return CurveSpec(kind="circle", radius=radius)
+    return CurveSpec(cos_coeffs=(radius,))
 
 
 def paper_boundary() -> CurveSpec:
     """The analytic test boundary preset used by the experiment suite."""
     a = tuple(BOUNDARY_COEFFS[k] for k in range(0, 6))
     b = tuple(BOUNDARY_COEFFS[-k] for k in range(1, 6))
-    return CurveSpec(kind="fourier", cos_coeffs=a, sin_coeffs=b)
+    return CurveSpec(cos_coeffs=a, sin_coeffs=b)
 
 
 CURVE_PRESETS = {
@@ -241,21 +232,32 @@ CURVE_PRESETS = {
 
 
 def from_config(obj) -> CurveSpec:
-    """Build a curve from a preset name or a config mapping."""
+    """Build a curve from a preset name or a config mapping, either
+    ``{"kind": "fourier", "cos_coeffs": [...], "sin_coeffs": [...], "scale": s}``
+    or ``{"kind": "circle", "radius": r, "scale": s}``; the kind defaults to
+    circle, radius and scale to 1."""
     if isinstance(obj, str):
         try:
             return CURVE_PRESETS[obj]()
         except KeyError:
             raise ValueError(f"unknown curve preset {obj!r}") from None
     try:
-        return CurveSpec(**{"kind": "circle", **obj})
+        fields = {**obj}
+        kind = fields.pop("kind", "circle")
+        if kind == "circle":
+            fields = _circle_fields(**fields)
+        elif kind != "fourier":
+            raise ValueError(f"unknown curve kind {kind!r}")
+        return CurveSpec(**fields)
     except TypeError as e:          # not a mapping, unknown field, no sequence
         raise ValueError(f"bad curve {obj!r}: {e}") from None
 
 
+def _circle_fields(radius=1.0, scale=1.0) -> dict:
+    return {"cos_coeffs": (radius,), "scale": scale}
+
+
 def to_config(curve: CurveSpec) -> dict:
-    if curve.kind == "circle":
-        return {"kind": "circle", "radius": curve.radius, "scale": curve.scale}
     return {"kind": "fourier", "cos_coeffs": list(curve.cos_coeffs),
             "sin_coeffs": list(curve.sin_coeffs), "scale": curve.scale}
 
@@ -271,8 +273,6 @@ class ChordBounds:
     def __init__(self, curve: CurveSpec):
         phi = np.linspace(0.0, TWO_PI, GRID, endpoint=False)
         r = curve.scale * curve.radius_at(phi)
-        if np.min(r) <= 0:
-            raise ValueError("chord bounds require a star-shaped curve")
         # chord >= 2 r_min sin(pi dt) >= 4 r_min dt on dt in [0, 1/2]
         self.c_lo = 4.0 * float(np.min(r)) * 0.999999
         self.c_hi = float(np.max(curve.weight_t(phi / TWO_PI))) * 1.000001

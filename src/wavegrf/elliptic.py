@@ -47,8 +47,6 @@ def jacobi_sn_cn_dn(u, m: float):
     """Jacobi elliptic functions (sn, cn, dn)(u | m) for real u."""
     m = _check_m(m)
     u = np.asarray(u, dtype=float)
-    if m == 0.0:
-        return np.sin(u), np.cos(u), np.ones_like(u)
     a_seq, c_seq = _agm_sequences(m)
     n = len(a_seq) - 1
     phi = 2.0**n * a_seq[-1] * u

@@ -28,7 +28,6 @@ import numpy as np
 # symbol; biorthogonality against the hat mask is exact in rational
 # arithmetic (see tests).
 _DUAL_NUMERATORS = {
-    2: (4, [-1, 2, 6, 2, -1]),
     4: (64, [3, -6, -16, 38, 90, 38, -16, -6, 3]),
     6: (512, [-5, 10, 34, -78, -123, 324, 700, 324, -123, -78, 34, 10, -5]),
     8: (16384, [35, -70, -300, 670, 1228, -3126, -3796, 10718, 22050,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SUPPORTED_NU = (0.5, 1.5, 2.5)
-
 KERNEL_NAMES = {"matern12": 0.5, "matern32": 1.5, "matern52": 2.5}
+
+SUPPORTED_NU = tuple(KERNEL_NAMES.values())
 
 #: largest eigenvalue tail a CircleSpectrum may drop
 TAIL_TOL = 1e-12
@@ -50,7 +50,7 @@ class KernelSpec:
 
     @property
     def name(self) -> str:
-        return {0.5: "matern12", 1.5: "matern32", 2.5: "matern52"}[self.nu]
+        return next(k for k, nu in KERNEL_NAMES.items() if nu == self.nu)
 
 
 def kernel_from_name(name: str, ell: float = 1.0) -> KernelSpec:

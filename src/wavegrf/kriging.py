@@ -80,15 +80,15 @@ class ObservationMatrix:
 
 
 def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
-                             J: int, curve: CurveSpec | None = None) -> ObservationMatrix:
+                             J: int, curve: CurveSpec) -> ObservationMatrix:
     """Pairings of the observation functionals with the dual basis.
 
     Single-scale entries are composite trapezoid quadratures of the
     cascade-evaluated dual scaling function over each box (box endpoints are
     snapped to the quadrature grid); wavelet rows follow by the fast
-    transform.  Unit-mass normalization is against the surface measure when
-    a curve is supplied, else against parameter length.  Boxes must span at
-    least one fine-level cell so the quadrature resolves them.
+    transform.  Unit-mass normalization is against the surface measure of
+    ``curve``.  Boxes must span at least one fine-level cell so the
+    quadrature resolves them.
     """
     idx = system.index_set(J)
     L = J + 1
@@ -108,8 +108,7 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     def weights(b, n):
         return np.where((n == n0[b]) | (n == n1[b]), tau / 2.0, tau)
 
-    mass = ((n1 - n0) * tau if curve is None else
-            np.add.reduceat(weights(box, nodes) * curve.weight_t(nodes * tau), box_at))
+    mass = np.add.reduceat(weights(box, nodes) * curve.weight_t(nodes * tau), box_at)
     # translates k whose tabulated support meets the box, then their shared nodes
     pbox, k, _ = _ranges((n0 - lo - n_tab + per - 1) // per, (n1 - lo) // per + 1)
     tpair, n, pair_at = _ranges(np.maximum(n0[pbox], per * k + lo),

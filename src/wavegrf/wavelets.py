@@ -190,17 +190,12 @@ class WaveletSystem:
         """Values of the (dual) scaling function on a dyadic grid.
 
         Returns ``(values, step)`` with ``values[i]`` the function at
-        ``support_start + i * step``.  The dual function is evaluated by the
-        refinement cascade seeded with its exact integer-grid values (the
-        eigenvector of the downsampled two-scale relation); the primal hat is
-        exact by closed form.
+        ``support_start + i * step``, by the refinement cascade of its mask
+        seeded with its exact integer-grid values (the eigenvector of the
+        downsampled two-scale relation).  The primal hat comes out exact:
+        every value is a dyadic rational.
         """
-        if not dual:
-            lo, hi = -1, 1
-            step = 2.0**-sweeps
-            x = np.arange(lo, hi + step / 2, step)
-            return np.maximum(0.0, 1.0 - np.abs(x)), step
-        mask = self.bank.lo_dual
+        mask = self.bank.lo_dual if dual else self.bank.lo
         lo, hi = mask.start, mask.stop
         # exact values at the interior integers: eigenvector of T[n,i] = a_{2n-i}
         pts = np.arange(lo + 1, hi)
@@ -232,8 +227,8 @@ class WaveletSystem:
         """Values of the (dual) mother wavelet on a dyadic grid, as above."""
         phi, step = self.scaling_values(dual=dual, sweeps=sweeps)
         mask = self.bank.hi_dual if dual else self.bank.hi
-        sc_lo = self.bank.lo_dual.start if dual else self.bank.lo.start
-        sc_hi = self.bank.lo_dual.stop if dual else self.bank.lo.stop
+        sc = self.bank.lo_dual if dual else self.bank.lo
+        sc_lo, sc_hi = sc.start, sc.stop
         lo = (mask.start + sc_lo) / 2.0
         hi = (mask.stop + sc_hi) / 2.0
         n = int(round((hi - lo) / (step / 1))) + 1
@@ -262,7 +257,7 @@ class WaveletSystem:
         sweeps = resolution - L
         phi, _ = self.scaling_values(dual=dual, sweeps=max(sweeps, 1))
         vals = phi[::1 if sweeps >= 1 else 2]      # values at step 2^-sweeps
-        start = self.bank.lo_dual.start if dual else -1
+        start = (self.bank.lo_dual if dual else self.bank.lo).start
         per = 2**sweeps
         tab = np.pad(vals * 2.0 ** (L / 2.0), (0, -len(vals) % per))
         # field(t_m) = sum_k c_k 2^{L/2} phi(m/per - k): point m sums, in increasing

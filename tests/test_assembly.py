@@ -109,7 +109,7 @@ def test_far_field_entry_smallness_and_level_scaling(monkeypatch):
 
 #: r(phi) = 1 + 0.9 cos(2 phi): the neck is 0.1 / 1.9 of the length, and the
 #: two sides of the neck are half the curve apart in parameter
-PEANUT = curves.CurveSpec(kind="fourier", cos_coeffs=(1, 0, 90, 0, 0, 0),
+PEANUT = curves.CurveSpec(cos_coeffs=(1, 0, 90, 0, 0, 0),
                           sin_coeffs=(0, 0, 0, 0, 0))
 
 

@@ -255,6 +255,29 @@ def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
     assert not any(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("cmd,cfg", [
+    ("pattern", {"dump_matrix": "false"}), ("krige", {"dump_factors": 1}),
+    ("mlmc", {"dump_estimate": "yes"}), ("pattern", {"dump_matrix": None}),
+    ("pattern", {"out": 5}), ("sample", {"out": ["o"]}),
+])
+def test_dump_flags_and_out_take_only_their_json_type(tmp_path, capsys, monkeypatch, cmd, cfg):
+    """The dump flags take only JSON booleans and ``out`` only a string: any
+    other value is a config error naming its key, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"p": 16, "p_list": [16], "runs": 1, "out": "o"} | cfg))
+    assert main([cmd, "--config", "cfg.json", "--seed", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and repr(next(iter(cfg))) in err["message"]
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_dump_matrix_false_writes_no_matrix(tmp_path):
+    rc, out = run(tmp_path, "pattern", {"p": 16, "dump_matrix": False})
+    assert rc == 0 and (out / "pattern.mtx").exists()
+    assert not (out / "covariance_eps.mtx").exists()
+
+
 @pytest.mark.parametrize("text", [None, "width,value\n0.5,0.1\n", "center,value\n0.5,0.1\n",
                                   "center,width\n0.5,0.1\n", "# no header\n"])
 def test_krige_bad_observations_file_exits_2(tmp_path, capsys, text):

@@ -20,6 +20,18 @@ def test_circle_xy():
     assert c.xy(np.pi) == pytest.approx([-1.0, 0.0])
     # 2 pi periodic in phi
     assert c.xy(2 * np.pi + 0.25) == pytest.approx(c.xy(0.25))
+    # the one-term series gives the closed-form points and arc-length weight
+    # bit for bit, before and after normalization
+    t = np.linspace(0.0, 1.0, 10007)
+    phi = 2.0 * np.pi * t
+    for r in (1.0, 2.0, 3.0, 0.37):
+        for c in (circle(r), normalize_to_unit_diameter(circle(r))):
+            assert c == CurveSpec(cos_coeffs=(r,), scale=c.scale)
+            rs = c.scale * r
+            xy = np.stack([rs * np.cos(phi), rs * np.sin(phi)], axis=-1)
+            w = np.full_like(t, 2.0 * np.pi * rs)
+            assert np.array_equal(c.xy_t(t), xy) and np.array_equal(c.weight_t(t), w)
+            assert all(np.array_equal(a, b) for a, b in zip(c.xy_weight_t(t), (xy, w)))
 
 
 def test_boundary_radius_and_point_at_zero():
@@ -94,9 +106,9 @@ def test_weight_positive_on_grid():
 
 def test_degenerate_curve_rejected():
     with pytest.raises(ValueError):
-        CurveSpec(kind="circle", radius=-1.0)
+        CurveSpec(cos_coeffs=(-1.0,))
     with pytest.raises(ValueError):
-        CurveSpec(kind="fourier", cos_coeffs=(0.1, 0.0, 0.0, 0.0, 0.0, 20.0),
+        CurveSpec(cos_coeffs=(0.1, 0.0, 0.0, 0.0, 0.0, 20.0),
                   sin_coeffs=(0.0,) * 5)
 
 
@@ -116,9 +128,18 @@ def test_config_roundtrip():
     b = replace(paper_boundary(), scale=0.5)
     again = curves.from_config(curves.to_config(b))
     assert again == b
-    assert curves.from_config("paper-boundary").kind == "fourier"
-    assert curves.from_config({"kind": "circle", "radius": 2}) == circle(2.0)
+    assert curves.from_config("paper-boundary") == paper_boundary()
+    assert curves.to_config(paper_boundary())["kind"] == "fourier"
+    assert (curves.from_config({"kind": "circle", "radius": 2}) == circle(2.0)
+            == CurveSpec(cos_coeffs=(2.0,)))
+    assert curves.from_config("unit-circle") == curves.from_config({}) == circle(1.0)
+    # a circle is written in the Fourier form and reads back as the same curve
+    c = replace(circle(2.0), scale=0.25)
+    assert curves.to_config(c) == {"kind": "fourier", "cos_coeffs": [2.0],
+                                   "sin_coeffs": [], "scale": 0.25}
+    assert curves.from_config(curves.to_config(c)) == c
     for bad in ("no-such-preset", 3, {"kind": "ellipse"}, {"kind": "fourier"},
+                {"kind": "fourier", "radius": 2}, {"kind": "circle", "cos_coeffs": [2]},
                 {"kind": "fourier", "cos_coeffs": [50, 1, 2], "sin_coeffs": [1]},
                 {"kind": "fourier", "cos_coeffs": [50, "x"], "sin_coeffs": [1]},
                 {"kind": "fourier", "cos_coeffs": 50, "sin_coeffs": []},
@@ -150,7 +171,7 @@ def _full_grid_diameter(curve, grid=4096, rtol=1e-10):
 def test_diameter_matches_full_grid_search():
     b = paper_boundary()
     assert diameter(b) == _full_grid_diameter(b)
-    other = CurveSpec(kind="fourier", cos_coeffs=(10.0, 3.0, -2.0, 1.0, 0.0, 0.5),
+    other = CurveSpec(cos_coeffs=(10.0, 3.0, -2.0, 1.0, 0.0, 0.5),
                       sin_coeffs=(1.0, 2.0, 0.0, -1.0, 0.0))
     for c in (circle(1.0), circle(3.0), other):
         ref = _full_grid_diameter(c)
@@ -171,7 +192,7 @@ def _dense_grid_pair(x, y):
 
 def _peanut(a2):
     """r = 1 + (a2 / 100) cos 2 phi: a hull with fewer vertices than grid points."""
-    return CurveSpec(kind="fourier", cos_coeffs=(1, 0, a2, 0, 0, 0), sin_coeffs=(0,) * 5)
+    return CurveSpec(cos_coeffs=(1, 0, a2, 0, 0, 0), sin_coeffs=(0,) * 5)
 
 
 #: curve -> diameter as the dense-scan implementation returned it (circles: exact ties)
@@ -179,7 +200,7 @@ DIAMETERS = [
     (paper_boundary(), 100.05220521130454),
     (circle(1.0), 1.9999999999999998),
     (circle(3.0), 6.0),
-    (CurveSpec(kind="fourier", cos_coeffs=(10.0, 3.0, -2.0, 1.0, 0.0, 0.5),
+    (CurveSpec(cos_coeffs=(10.0, 3.0, -2.0, 1.0, 0.0, 0.5),
                sin_coeffs=(1.0, 2.0, 0.0, -1.0, 0.0)), 20.07656931297109),
     (_peanut(40), 2.7999999999999994),
     (_peanut(85), 3.7),
@@ -239,7 +260,7 @@ def test_caches_bounded_and_normalization_memoized():
     assert normalize_to_unit_diameter(circle(2.5)) is first
     assert normalize_to_unit_diameter.cache_info().hits == hits + 1
     # coefficient lists are stored as tuples, so such a spec is a cache key too
-    listed = CurveSpec(kind="fourier", cos_coeffs=list(paper_boundary().cos_coeffs),
+    listed = CurveSpec(cos_coeffs=list(paper_boundary().cos_coeffs),
                        sin_coeffs=list(paper_boundary().sin_coeffs))
     assert listed == paper_boundary()
     assert normalize_to_unit_diameter(listed) is normalize_to_unit_diameter(paper_boundary())

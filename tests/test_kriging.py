@@ -105,10 +105,7 @@ def _loop_single_scale_rows(system, obs, J, curve, oversample=6):
         nodes = np.arange(n0, n1 + 1)
         wq = np.full(len(nodes), tau)
         wq[0] = wq[-1] = tau / 2.0
-        if curve is not None:
-            mass = float(np.sum(wq * curve.weight_t(nodes * tau)))
-        else:
-            mass = (n1 - n0) * tau
+        mass = float(np.sum(wq * curve.weight_t(nodes * tau)))
         for k in range((n0 - lo_idx - n_tab + per - 1) // per,
                        (n1 - lo_idx) // per + 1):
             jdx = nodes - per * k - lo_idx
@@ -134,12 +131,11 @@ def test_observation_matrix_matches_loop_reference(model, fam, p):
             ObservationSet(centers=np.array([0.999, 0.3]),
                            widths=np.array([0.03, 5.0 / p]), sigma2=1.0)]
     for obs in sets:
-        for curve in (m.curve, None):
-            got = build_observation_matrix(m.system, obs, m.idx.J, curve).G_single
-            want = _loop_single_scale_rows(m.system, obs, m.idx.J, curve)
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        got = build_observation_matrix(m.system, obs, m.idx.J, m.curve).G_single
+        want = _loop_single_scale_rows(m.system, obs, m.idx.J, m.curve)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_width_resolution_guard(model):

@@ -235,6 +235,18 @@ def test_coarse_block_support_is_hat():
     assert sys_.support_width(sys_.j0) == pytest.approx(2.0 ** (-sys_.j0))
 
 
+@pytest.mark.parametrize("dt", [4, 6, 8, 10])
+def test_primal_cascade_is_the_hat(dt):
+    """The refinement cascade of the primal mask gives the closed-form hat
+    1 - |x| on [-1, 1] bit for bit: every value is a dyadic rational."""
+    sys_ = get_system(2, dt)
+    for sweeps in range(1, 12):
+        phi, step = sys_.scaling_values(dual=False, sweeps=sweeps)
+        x = np.arange(-1.0, 1.0 + step / 2, step)
+        assert step == 2.0**-sweeps
+        assert np.array_equal(phi, np.maximum(0.0, 1.0 - np.abs(x)))
+
+
 def test_dual_scaling_partition_of_unity():
     sys_ = get_system(2, 6)
     phi, step = sys_.scaling_values(dual=True, sweeps=6)
