@@ -61,6 +61,10 @@ def _as(key, value, kind):
     try:
         if kind in (bool, str) and not isinstance(value, kind):    # bool() and str() accept anything
             raise TypeError
+        if kind in (int, float) and isinstance(value, bool):       # int(True) is 1
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError                                       # int() truncates
         return kind(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config key {key!r}: {value!r} is not a {kind.__name__}") from e

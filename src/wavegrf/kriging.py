@@ -10,14 +10,16 @@ transform.  The posterior mean
 
     mu = C G^T (G C G^T + sigma^2 I)^(-1) y
 
-is evaluated by CG on the Gram system with sparse factors only: ``G`` is CSR
-with O(K log p) nonzeros (wavelets are local), so one iteration is three CSR
-products (``G^T``, ``C_eps``, ``G``) and the Gram matrix is never assembled.
-``G`` is one sparse transform of the banded single-scale rows: no p x K array.
+is evaluated by CG on the Gram system.  ``G`` is CSR with O(K log p) nonzeros
+(wavelets are local), one sparse transform of the banded single-scale rows: no
+p x K array.  Up to ``linalg.DENSE_MAX_P`` observations CG runs on the dense
+Gram, formed once per (C_eps, G, sigma^2) and kept; above it each iteration is
+three CSR products (``G^T``, ``C_eps``, ``G``) and no K^2 array is formed.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,9 @@ from .wavelets import WaveletSystem
 
 #: dyadic refinements of a fine cell in the observation quadrature
 OVERSAMPLE = 6
+#: the last dense Gram, read-only, as (content key, Gram): one entry, rebound
+#: whole, so threads racing on it at worst form one Gram twice
+_GRAM: tuple = (None, None)
 
 
 @dataclass(frozen=True)
@@ -148,13 +153,15 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    y: np.ndarray, sigma2: float,
                    cg_tol: float = 1e-10) -> tuple[np.ndarray, CgResult]:
     """Kriging coefficients ``mu`` in dual coordinates and the CG record;
-    ``system`` is unused."""
+    ``system`` is unused.  CG runs on the kept ``gram_matrix`` up to
+    ``linalg.DENSE_MAX_P`` observations, else on the ``FactoredGram``."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     y = np.asarray(y, dtype=float)
-    gram = FactoredGram(Ceps, obsmat, sigma2)
+    gram = (gram_matrix(Ceps, obsmat, sigma2) if obsmat.K <= linalg.DENSE_MAX_P
+            else FactoredGram(Ceps, obsmat, sigma2))
     res = cg_solve(gram, y, tol=cg_tol, max_iter=max(10 * obsmat.K, 200))
-    mu = Ceps @ (gram.GT @ res.x)
+    mu = Ceps @ (obsmat.G.T @ res.x)
     return mu, res
 
 
@@ -168,10 +175,23 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
 
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
+    """The dense ``G C G^T + sigma2 I``, read-only; the last one is kept, keyed
+    on the content of ``Ceps.csr`` and ``G``, the shapes and ``sigma2``."""
+    global _GRAM
     K = obsmat.K
     if K > linalg.DENSE_MAX_P:
         raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
-    return FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
+    h = hashlib.sha256()
+    for M in (Ceps.csr, obsmat.G):
+        for a in (M.indptr, M.indices, M.data):
+            h.update(a)
+    key = (h.digest(), Ceps.shape, obsmat.G.shape, float(sigma2))
+    cached_key, gram = _GRAM
+    if cached_key != key:
+        gram = FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
+        gram.flags.writeable = False
+        _GRAM = (key, gram)
+    return gram
 
 
 def predict_at(system: WaveletSystem, curve: CurveSpec, mu: np.ndarray,

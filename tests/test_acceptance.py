@@ -261,7 +261,7 @@ def test_criterion_08_mlmc_unbiased(core):
 def test_criterion_09_kriging(core):
     sigma2 = 1e-2
     K = 32
-    # factored CG path vs dense oracle at p = 512
+    # Gram CG (dense Gram, K <= linalg.DENSE_MAX_P) vs dense oracle at p = 512
     m = cached_model("matern12", 2, 6, 512)
     obs = equispaced_observations(K, 4.0 / 512, sigma2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
@@ -281,5 +281,5 @@ def test_criterion_09_kriging(core):
         iters.append(res.iterations)
     assert max(iters) - min(iters) <= 2
     _ok("criterion 9 (kriging)",
-        f"factored-vs-dense rel err {rel:.1e} <= 1e-8, gram min eig "
+        f"CG-vs-dense rel err {rel:.1e} <= 1e-8, gram min eig "
         f"{ev[0]:.3e} >= sigma^2, CG iterations {iters} across p=128..2048")

@@ -243,11 +243,13 @@ def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
     ("krige", {"targets": [None], "p": 64}),
     ("krige", {"observations": 5, "p": 64}), ("krige", {"observations": ["obs.csv"], "p": 64}),
     ("krige", {"observations": False, "p": 64}),
+    ("pattern", {"p": 16.9}), ("sample", {"count": True}), ("krige", {"sigma2": True}),
 ])
 def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
     """A config value of the wrong JSON type is a config error naming its key:
-    no TypeError, no fallback to the config's p for a null in p_list, and no
-    prediction at a null target."""
+    no TypeError, no fallback to the config's p for a null in p_list, no
+    prediction at a null target, no boolean read as a number and no
+    fractional number truncated to an integer."""
     rc, out = run(tmp_path, cmd, {"p": 16, "p_list": [16], "runs": 1} | cfg, seed=2)
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -320,6 +322,14 @@ def test_krige_command_and_observation_file(tmp_path):
     del cfg2["dump_factors"]
     rc2, out2 = run(tmp_path, "krige", cfg2, seed=5, name="again")
     assert rc2 == 0
+
+
+def test_krige_forms_the_gram_once(tmp_path, gram_builds):
+    """The Gram CG and ``gram_cond`` share one dense Gram."""
+    rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": 8, "K": 20}, seed=5)
+    assert rc == 0
+    assert gram_builds == [(8, 8)]
+    assert "# gram_cond: None\n" not in (out / "krige_predictions.csv").read_text()
 
 
 def test_krige_unconverged_gram_cg_exits_3(tmp_path, capsys, monkeypatch):

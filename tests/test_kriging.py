@@ -250,6 +250,49 @@ def test_posterior_matches_dense_oracle(model):
     assert res.converged
 
 
+def test_factored_gram_matches_dense_gram_and_oracle(model, monkeypatch):
+    """Above the size rule CG runs on the factored Gram: the same posterior
+    mean as the dense Gram's and the dense oracle's (p = 512, K = 256).  At
+    the default cg_tol = 1e-10 the two CG solutions differ by about 1.4e-10
+    relative, the solve's own error, so the tolerance here is 1e-12."""
+    m = model("matern12", 2, 6, 512)
+    obs = equispaced_observations(256, 0.5 / 256, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    y = np.random.default_rng(10).standard_normal(256)
+    oracle = posterior_mean_dense(m.tapered.to_dense(), om.G, y, obs.sigma2)
+    mu_dense, res_dense = posterior_mean(m.tapered, om, m.system, y, obs.sigma2,
+                                         cg_tol=1e-12)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 255)
+    mu, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-12)
+    assert res.converged and res_dense.converged
+    assert np.linalg.norm(mu_dense - oracle) <= 1e-8 * np.linalg.norm(oracle)
+    assert np.linalg.norm(mu - oracle) <= 1e-8 * np.linalg.norm(oracle)
+    assert np.linalg.norm(mu - mu_dense) <= 1e-10 * np.linalg.norm(mu_dense)
+
+
+def test_dense_gram_formed_once_per_content(model, gram_builds):
+    """The dense Gram is kept for its (C_eps, G, sigma2) and read-only; a
+    new sigma2 or an in-place change of C_eps forms it anew."""
+    m = model("matern12", 2, 6, 128)
+    obs = equispaced_observations(16, 4.0 / 128, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    C = linalg.SparseSymMatrix(m.tapered.csr.copy(), check=False)
+    y = np.random.default_rng(11).standard_normal(16)
+    posterior_mean(C, om, m.system, y, 1e-2)
+    posterior_mean(C, om, m.system, 2.0 * y, 1e-2)
+    gram = gram_matrix(C, om, 1e-2)
+    assert gram_builds == [(16, 16)]
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 0.0
+    posterior_mean(C, om, m.system, y, 2e-2)
+    assert len(gram_builds) == 2
+    C.csr.data[0] *= 2.0
+    changed = gram_matrix(C, om, 2e-2)
+    assert len(gram_builds) == 3
+    assert np.array_equal(changed, FactoredGram(C, om, 2e-2)(np.eye(16)))
+
+
 def test_gram_spectrum_bounds(model):
     m = model("matern12", 2, 6, 256)
     obs = equispaced_observations(16, 4.0 / 256, 1e-2)
@@ -309,12 +352,16 @@ def test_cg_iterations_stable_in_p(model):
     assert max(iters) - min(iters) <= 2
 
 
-def test_unattainable_tolerance_reported_unconverged(model):
-    """CG decides on the true residual: at cg_tol = 1e-300 the recursive
-    residual would underflow to 0, but the solve reports no convergence."""
+@pytest.mark.parametrize("dense_max_p", [pytest.param(8, id="dense-gram"),
+                                         pytest.param(7, id="factored")])
+def test_unattainable_tolerance_reported_unconverged(model, monkeypatch, dense_max_p):
+    """CG decides on the true residual, on the dense Gram and on the factored
+    one: at cg_tol = 1e-300 the recursive residual would underflow to 0, but
+    the solve reports no convergence."""
     m = model("matern12", 2, 6, 64)
     obs = equispaced_observations(8, 4.0 / 64, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", dense_max_p)
     y = np.random.default_rng(8).standard_normal(8)
     _, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-300)
     assert not res.converged
