@@ -65,7 +65,10 @@ def _as(key, value, kind):
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError                                       # int() truncates
-        return kind(value)
+        out = kind(value)
+        if kind is float and not abs(out) < np.inf:                # json reads NaN, Infinity
+            raise ValueError
+        return out
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config key {key!r}: {value!r} is not a {kind.__name__}") from e
 
@@ -275,15 +278,15 @@ def cmd_krige(cfg) -> None:
     seed = _get(cfg, "seed", 0, int)
     dump = _get(cfg, "dump_factors", False, bool)
     out = _outdir(cfg)
-    obs_file = cfg.get("observations")
-    if not isinstance(obs_file, (str, type(None))):
-        raise ConfigError(f"config key 'observations': {obs_file!r} is not a file name")
+    obs_file = _get(cfg, "observations", None, str)
     if obs_file:
         try:
             raw = io.read_csv(obs_file)
             centers, widths, y = raw["center"], raw["width"], raw["value"]
         except (OSError, KeyError, IndexError) as e:       # no file, column or header
             raise ConfigError(f"bad observations file {obs_file}: {e!r}") from e
+        if not np.all(np.isfinite(y)):
+            raise ConfigError(f"bad observations file {obs_file}: non-finite value")
         obs = kriging.ObservationSet(centers=centers, widths=widths, sigma2=sigma2)
     else:
         obs = kriging.equispaced_observations(K, width, sigma2)

@@ -42,8 +42,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.nu not in SUPPORTED_NU:
             raise ValueError(f"nu must be one of {SUPPORTED_NU}")
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
+        if not 0 < self.ell < np.inf:
+            raise ValueError("ell must be positive and finite")
 
     def __call__(self, z):
         return eval_kernel(self, z)

@@ -13,13 +13,12 @@ transform.  The posterior mean
 is evaluated by CG on the Gram system.  ``G`` is CSR with O(K log p) nonzeros
 (wavelets are local), one sparse transform of the banded single-scale rows: no
 p x K array.  Up to ``linalg.DENSE_MAX_P`` observations CG runs on the dense
-Gram, formed once per (C_eps, G, sigma^2) and kept; above it each iteration is
-three CSR products (``G^T``, ``C_eps``, ``G``) and no K^2 array is formed.
+Gram, kept for the last (C_eps, G, sigma^2), the read-only matrices compared by
+identity; above it each iteration is three CSR products and no K^2 array is formed.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,9 @@ from .wavelets import WaveletSystem
 
 #: dyadic refinements of a fine cell in the observation quadrature
 OVERSAMPLE = 6
-#: the last dense Gram, read-only, as (content key, Gram): one entry, rebound
-#: whole, so threads racing on it at worst form one Gram twice
-_GRAM: tuple = (None, None)
+#: (C_eps, G, sigma2, read-only Gram) of the last dense Gram, rebound whole (racing
+#: threads at worst form it twice); holding the matrices keeps their ids in use
+_GRAM: tuple = (None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,16 @@ class ObservationSet:
     sigma2: float
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float) % 1.0
+        c = np.asarray(self.centers, dtype=float)
         w = np.asarray(self.widths, dtype=float)
+        if not 0 < self.sigma2 < np.inf:
+            raise ValueError("noise variance must be positive and finite "
+                             "(noise-free kriging is out of scope)")
+        if not len(c) or len(c) != len(w) or not np.all(np.isfinite(c) & (w > 0)):
+            raise ValueError("need at least one finite center and one positive width per center")
+        c = c % 1.0
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "widths", w)
-        if self.sigma2 <= 0:
-            raise ValueError("noise variance must be positive "
-                             "(noise-free kriging is out of scope)")
-        if not len(c) or len(c) != len(w) or np.any(w <= 0):
-            raise ValueError("need at least one center and one positive width per center")
         if np.sum(w) > 1.0 + 1e-12:
             raise ValueError("observation supports overlap")
         # room from each sorted start to the next, the last one wrapping round
@@ -78,6 +78,10 @@ def equispaced_observations(K: int, width: float, sigma2: float) -> ObservationS
 class ObservationMatrix:
     G_single: sparse.csr_matrix     # K x N against the dual single-scale basis
     G: sparse.csr_matrix            # K x p against the dual wavelets, O(K log p) nnz
+
+    def __post_init__(self):            # read-only: the kept Gram keys on G itself
+        linalg.read_only(self.G_single)
+        linalg.read_only(self.G)
 
     @property
     def K(self) -> int:
@@ -155,8 +159,8 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
     """Kriging coefficients ``mu`` in dual coordinates and the CG record;
     ``system`` is unused.  CG runs on the kept ``gram_matrix`` up to
     ``linalg.DENSE_MAX_P`` observations, else on the ``FactoredGram``."""
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite")
     y = np.asarray(y, dtype=float)
     gram = (gram_matrix(Ceps, obsmat, sigma2) if obsmat.K <= linalg.DENSE_MAX_P
             else FactoredGram(Ceps, obsmat, sigma2))
@@ -175,22 +179,17 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
 
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
-    """The dense ``G C G^T + sigma2 I``, read-only; the last one is kept, keyed
-    on the content of ``Ceps.csr`` and ``G``, the shapes and ``sigma2``."""
+    """The dense ``G C G^T + sigma2 I``, read-only; the last one is kept, keyed on
+    the read-only ``SparseSymMatrix`` ``Ceps`` and ``G`` by identity and on ``sigma2``."""
     global _GRAM
     K = obsmat.K
     if K > linalg.DENSE_MAX_P:
         raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
-    h = hashlib.sha256()
-    for M in (Ceps.csr, obsmat.G):
-        for a in (M.indptr, M.indices, M.data):
-            h.update(a)
-    key = (h.digest(), Ceps.shape, obsmat.G.shape, float(sigma2))
-    cached_key, gram = _GRAM
-    if cached_key != key:
+    C_kept, G_kept, sigma2_kept, gram = _GRAM
+    if not (C_kept is Ceps and G_kept is obsmat.G and sigma2_kept == sigma2):
         gram = FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
         gram.flags.writeable = False
-        _GRAM = (key, gram)
+        _GRAM = (Ceps, obsmat.G, sigma2, gram)
     return gram
 
 

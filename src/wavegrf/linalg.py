@@ -17,8 +17,15 @@ BOUNDS_SAFETY, LANCZOS_MAX_ITER, LANCZOS_SEED = 0.1, 400, 7
 DENSE_MAX_P = 2048
 
 
+def read_only(csr: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``csr`` with its ``data``, ``indices`` and ``indptr`` made read-only."""
+    for a in (csr.data, csr.indices, csr.indptr):
+        a.flags.writeable = False
+    return csr
+
+
 class SparseSymMatrix:
-    """CSR-backed symmetric sparse matrix (values stored on both triangles)."""
+    """CSR-backed symmetric sparse matrix (both triangles stored), read-only once built."""
 
     def __init__(self, csr: sparse.csr_matrix, check: bool = True):
         csr = sparse.csr_matrix(csr)
@@ -32,7 +39,7 @@ class SparseSymMatrix:
             d = (csr - csr.T).tocoo()
             if d.nnz and np.max(np.abs(d.data)) > 1e-12 * max(1.0, abs(csr).max()):
                 raise ValueError("matrix is not symmetric")
-        self.csr = csr
+        self.csr = read_only(csr)
 
     @property
     def shape(self):
@@ -46,10 +53,8 @@ class SparseSymMatrix:
     def nnz(self) -> int:
         return int(self.csr.nnz)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.csr @ x
-
-    __matmul__ = matvec
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
@@ -82,12 +87,8 @@ class CgResult:
 
 
 def _as_apply(A):
-    if callable(A) and not isinstance(A, (np.ndarray, SparseSymMatrix)):
-        return A
-    if isinstance(A, SparseSymMatrix):
-        return A.matvec
-    M = np.asarray(A)
-    return lambda x: M @ x
+    """``v -> A v`` of a callable, an array or a ``SparseSymMatrix``."""
+    return A if callable(A) else A.__matmul__
 
 
 def cg_solve(A, b: np.ndarray, tol: float = 1e-12,

@@ -5,7 +5,7 @@ sample counts ``M_{jj'} = M~_{max(j,j')}`` where the per-level budget
 follows the geometric schedule ``M~_j = M_finest * 2^((J-j)(n+alpha)2/3)``
 (rounded up), anchored at the finest level.  Each block uses fresh draws;
 blocks (j,j') and (j',j) are estimated once and mirrored, gathered on the
-taper pattern only.  Dense level roots are cached per covariance content.
+taper pattern only.  Dense level roots are kept for one covariance at a time.
 
 Every draw of a block (j,j') with j <= j' is at resolution j', so ``estimate``
 runs one task per level j' on the calling thread and one helper thread per
@@ -67,11 +67,10 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
     return SampleSchedule(j0=j0, J=J, counts=counts, n=n)
 
 
-#: read-only level roots by (sha256 of C, shape, p_j), least recently used first
-_ROOTS: dict = {}
-_ROOTS_MAX = 16
-#: guards every lookup, insertion and eviction of ``_ROOTS``
-_ROOTS_LOCK = threading.Lock()
+#: the read-only level roots of one covariance, as ((sha256 of C, shape), {p_j: root}):
+#: rebound whole when a source is built on other content (racing threads at worst
+#: compute a root twice; each source keeps its own table, so none gets a wrong one)
+_ROOTS: tuple = (None, {})
 #: largest level dimension p_j given a dense root
 ROOT_MAX_P = 4096
 
@@ -87,37 +86,35 @@ class GaussianCoefficientSource:
 
     Sampling at resolution ``j`` uses the dense symmetric square root of the
     leading principal block of the covariance (the law of the truncated
-    coefficient vector), cached per content of ``C``; the source keeps a copy,
-    so later changes to ``C`` cannot mislabel a cached root.  Draws are keyed
-    by (seed, stream), reproducible.  Safe to call from several threads.
+    coefficient vector).  Sources built one after another on equal content
+    share one table of roots; the source keeps a copy of ``C``, so later
+    changes to ``C`` cannot mislabel a root.  Draws are keyed by (seed,
+    stream), reproducible.  Safe to call from several threads.
     """
 
     def __init__(self, C: np.ndarray, idx: LevelIndexSet, seed: int):
+        global _ROOTS
         self.idx = idx
         self.seed = seed
         self.C = np.array(C, dtype=float, order="C")
-        self._digest = hashlib.sha256(self.C).digest()
+        key = (hashlib.sha256(self.C).digest(), self.C.shape)
+        roots = _ROOTS
+        if roots[0] != key:
+            roots = _ROOTS = (key, {})
+        self._roots = roots[1]              # p_j -> read-only root, shared by equal content
         self._local = threading.local()     # per-thread reused normals buffer ``xi``
 
     def _root(self, j: int) -> np.ndarray:
         if not self.idx.j0 <= j <= self.idx.J:
             raise ValueError(f"level {j} outside [{self.idx.j0}, {self.idx.J}]")
         p_j = 2 ** (j + 1)
-        key = (self._digest, self.C.shape, p_j)
-        with _ROOTS_LOCK:
-            root = _ROOTS.pop(key, None)
-            if root is not None:
-                _ROOTS[key] = root
-                return root
-        if p_j > ROOT_MAX_P:
-            raise ValueError(f"dense level root capped at p = {ROOT_MAX_P}")
-        root = sym_function(self.C[:p_j, :p_j], _psd_sqrt)
-        root.flags.writeable = False
-        with _ROOTS_LOCK:
-            root = _ROOTS.pop(key, root)        # a root another thread cached first
-            _ROOTS[key] = root
-            if len(_ROOTS) > _ROOTS_MAX:
-                del _ROOTS[next(iter(_ROOTS))]
+        root = self._roots.get(p_j)
+        if root is None:
+            if p_j > ROOT_MAX_P:
+                raise ValueError(f"dense level root capped at p = {ROOT_MAX_P}")
+            root = sym_function(self.C[:p_j, :p_j], _psd_sqrt)
+            root.flags.writeable = False
+            root = self._roots.setdefault(p_j, root)    # a root another thread kept first
         return root
 
     def draw(self, j_res: int, count: int, stream_id: int, cols=slice(None)) -> np.ndarray:

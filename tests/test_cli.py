@@ -244,12 +244,17 @@ def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
     ("krige", {"observations": 5, "p": 64}), ("krige", {"observations": ["obs.csv"], "p": 64}),
     ("krige", {"observations": False, "p": 64}),
     ("pattern", {"p": 16.9}), ("sample", {"count": True}), ("krige", {"sigma2": True}),
+    ("krige", {"targets": [float("nan")], "p": 64}),
+    ("krige", {"targets": [float("inf")], "p": 64}),
+    ("sample", {"ell": float("nan")}), ("pattern", {"ell": float("nan")}),
+    ("krige", {"sigma2": float("nan"), "p": 64}), ("krige", {"sigma2": float("inf"), "p": 64}),
+    ("corrlen", {"ells": [float("nan")]}), ("pattern", {"p": float("inf")}),
 ])
 def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
     """A config value of the wrong JSON type is a config error naming its key:
     no TypeError, no fallback to the config's p for a null in p_list, no
-    prediction at a null target, no boolean read as a number and no
-    fractional number truncated to an integer."""
+    prediction at a null target, no boolean read as a number, no fractional
+    number truncated to an integer and no NaN or Infinity read as a number."""
     rc, out = run(tmp_path, cmd, {"p": 16, "p_list": [16], "runs": 1} | cfg, seed=2)
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -281,10 +286,15 @@ def test_dump_matrix_false_writes_no_matrix(tmp_path):
 
 
 @pytest.mark.parametrize("text", [None, "width,value\n0.5,0.1\n", "center,value\n0.5,0.1\n",
-                                  "center,width\n0.5,0.1\n", "# no header\n"])
+                                  "center,width\n0.5,0.1\n", "# no header\n",
+                                  "center,width,value\n0.5,0.05,nan\n",
+                                  "center,width,value\n0.5,0.05,inf\n",
+                                  "center,width,value\nnan,0.05,0.1\n",
+                                  "center,width,value\n0.5,nan,0.1\n"])
 def test_krige_bad_observations_file_exits_2(tmp_path, capsys, text):
-    """A missing observations file, or one without a header or without a
-    center, width or value column, is a config error."""
+    """A missing observations file, one without a header or without a
+    center, width or value column, or one with a non-finite number, is a
+    config error."""
     path = tmp_path / "obs.csv"
     if text is not None:
         path.write_text(text)

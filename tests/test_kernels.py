@@ -20,6 +20,9 @@ def test_invalid_parameters():
         KernelSpec(1.0, 1.0)
     with pytest.raises(ValueError):
         KernelSpec(0.5, -1.0)
+    for ell in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(0.5, ell)
     with pytest.raises(ValueError):
         eval_kernel(KernelSpec(0.5, 1.0), -0.5)
     with pytest.raises(ValueError):

@@ -24,6 +24,17 @@ def test_observation_validation():
                        widths=np.array([0.08, 0.08]), sigma2=1.0)
     with pytest.raises(ValueError, match="at least one"):
         ObservationSet(centers=np.array([]), widths=np.array([]), sigma2=1.0)
+    # non-finite numbers are refused by name, not by a numpy error downstream
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(centers=np.array([0.5]), widths=np.array([0.1]), sigma2=bad)
+        with pytest.raises(ValueError, match="finite center"):
+            ObservationSet(centers=np.array([0.5, bad]), widths=np.array([0.1, 0.1]),
+                           sigma2=1.0)
+    with pytest.raises(ValueError, match="positive width"):
+        ObservationSet(centers=np.array([0.5]), widths=np.array([np.nan]), sigma2=1.0)
+    with pytest.raises(ValueError, match="overlap"):
+        ObservationSet(centers=np.array([0.5]), widths=np.array([np.inf]), sigma2=1.0)
     obs = equispaced_observations(8, 0.05, 1e-2)
     assert obs.K == 8
 
@@ -271,8 +282,9 @@ def test_factored_gram_matches_dense_gram_and_oracle(model, monkeypatch):
 
 
 def test_dense_gram_formed_once_per_content(model, gram_builds):
-    """The dense Gram is kept for its (C_eps, G, sigma2) and read-only; a
-    new sigma2 or an in-place change of C_eps forms it anew."""
+    """The dense Gram is kept for its (C_eps, G, sigma2), the two matrices
+    compared by identity, and read-only; a new sigma2 or a new C_eps of equal
+    content forms it anew, and neither matrix can change in place."""
     m = model("matern12", 2, 6, 128)
     obs = equispaced_observations(16, 4.0 / 128, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
@@ -287,10 +299,17 @@ def test_dense_gram_formed_once_per_content(model, gram_builds):
         gram[0, 0] = 0.0
     posterior_mean(C, om, m.system, y, 2e-2)
     assert len(gram_builds) == 2
-    C.csr.data[0] *= 2.0
-    changed = gram_matrix(C, om, 2e-2)
+    same = linalg.SparseSymMatrix(C.csr.copy(), check=False)
+    again = gram_matrix(same, om, 2e-2)
+    assert gram_matrix(same, om, 2e-2) is again
     assert len(gram_builds) == 3
-    assert np.array_equal(changed, FactoredGram(C, om, 2e-2)(np.eye(16)))
+    assert np.array_equal(again, FactoredGram(C, om, 2e-2)(np.eye(16)))
+    with pytest.raises(ValueError, match="read-only"):
+        C.csr.data[0] *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        om.G.data[0] = 0.0
+    for M in (same.csr, om.G, om.G_single):
+        assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
 
 
 def test_gram_spectrum_bounds(model):

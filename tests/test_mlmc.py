@@ -232,43 +232,50 @@ def test_draw_refuses_a_level_outside_the_index_set(model):
 
 
 def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
-    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    """Sources built one after another on equal content share one table of
+    roots, one ``eigh`` per level in all; a source on new content replaces
+    the kept table, so it holds the roots of one covariance."""
+    monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
     m = model("matern12", 2, 6, 64)
     C = m.tapered.to_dense()
     J = m.idx.J
-    r1 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
-    assert np.array_equal(r1, _eigh_sqrt(C))
+    want = _eigh_sqrt(C)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    first = GaussianCoefficientSource(C, m.idx, seed=1)
+    r1 = first._root(J)
+    assert np.array_equal(r1, want)
     assert not r1.flags.writeable
-    # a second source on the same content reuses the root
-    r2 = GaussianCoefficientSource(C.copy(), m.idx, seed=2)._root(J)
-    assert r2 is r1
-    # an in-place change of C gives fresh roots to the next source
+    # a second array of equal content shares the roots
+    for seed in (2, 3):
+        src = GaussianCoefficientSource(C.copy(), m.idx, seed=seed)
+        assert src._root(J) is r1
+        for j in m.idx.levels:
+            src.draw(j, 1, 0)
+    assert sorted(calls) == sorted((2 ** (j + 1),) * 2 for j in m.idx.levels)
+    # an in-place change of C is new content: a fresh table replaces the kept one
     C[3, 3] += 1.0
     r3 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
     assert r3 is not r1
     assert np.array_equal(r3, _eigh_sqrt(C))
-    # bounded: many covariances never grow the cache past its limit
-    for k in range(mlmc._ROOTS_MAX + 4):
-        src = GaussianCoefficientSource(C + k * np.eye(64), m.idx, seed=0)
-        for j in m.idx.levels:
-            src.draw(j, 1, 0)
-        assert len(mlmc._ROOTS) <= mlmc._ROOTS_MAX
-    # a non-PSD covariance still fails, and is not cached
-    n = len(mlmc._ROOTS)
+    assert list(mlmc._ROOTS[1].values()) == [r3]
+    # the first source keeps the table it was built with
+    assert first._root(J) is r1
+    # a non-PSD covariance still fails, and its root is not kept
     with pytest.raises(np.linalg.LinAlgError):
         GaussianCoefficientSource(-np.eye(64), m.idx, seed=0).draw(J, 1, 0)
-    assert len(mlmc._ROOTS) == n
+    assert mlmc._ROOTS[1] == {}
 
 
 def test_source_refuses_indefinite_covariance(model, monkeypatch):
-    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
     m = model("matern12", 2, 6, 64)
     C = m.tapered.to_dense()
     C[0, 0] = -1.0                      # a negative diagonal entry: indefinite
     src = GaussianCoefficientSource(C, m.idx, seed=0)
     with pytest.raises(np.linalg.LinAlgError):
         src.draw(m.idx.J, 1, 0)
-    assert mlmc._ROOTS == {}
+    assert mlmc._ROOTS[1] == {}
     # a non-symmetric covariance is refused before any eigensolve
     C = m.tapered.to_dense()
     C[0, 5] += 1.0
@@ -277,7 +284,7 @@ def test_source_refuses_indefinite_covariance(model, monkeypatch):
 
 
 def test_source_refuses_root_above_cap(model, monkeypatch):
-    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
     monkeypatch.setattr(mlmc, "ROOT_MAX_P", 32)
     m = model("matern12", 2, 6, 64)
     src = GaussianCoefficientSource(m.tapered.to_dense(), m.idx, seed=0)
@@ -287,6 +294,7 @@ def test_source_refuses_root_above_cap(model, monkeypatch):
     with pytest.raises(ValueError, match="capped"):
         src.draw(m.idx.J, 1, 0)
     assert calls == []
+    assert 64 not in mlmc._ROOTS[1]
 
 
 def test_doubling_samples_helps_sqrt2(model):
@@ -372,25 +380,29 @@ def test_worker_count_does_not_change_the_estimate(model, monkeypatch, p):
 
 
 def test_root_cache_is_thread_safe(model, monkeypatch):
-    """More threads than CPUs ask at once for the roots of more covariances
-    than the cache holds: no error, the bound holds, every root is right."""
-    monkeypatch.setattr(mlmc, "_ROOTS", {})
+    """More threads than CPUs build sources on several covariances and ask
+    for their roots at once: no error, the kept table holds at most one root
+    per level, every root is right."""
+    monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
     m = model("matern12", 2, 6, 64)
     C = m.tapered.to_dense()
-    sources = [GaussianCoefficientSource(C + k * np.eye(64), m.idx, seed=0)
-               for k in range(mlmc._ROOTS_MAX + 8)]
-    jobs = [(s, j) for s in sources for j in (m.idx.j0, m.idx.j0 + 1)]
-    want = [s._root(j) for s, j in jobs]
-    mlmc._ROOTS.clear()
-    got, errors = [None] * len(jobs), []
+    covs = [C + k * np.eye(64) for k in range(6)]
+    levels = (m.idx.j0, m.idx.j0 + 1)
+    want = {}
+    for k, cov in enumerate(covs):
+        src = GaussianCoefficientSource(cov, m.idx, seed=0)
+        want |= {(k, j): src._root(j) for j in levels}
+    monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
+    got, errors = [], []
     start = threading.Barrier(8)
 
     def run(t):
         try:
             start.wait()
-            for _ in range(10):
-                for i in list(range(t, len(jobs), 8)) + list(range(len(jobs) - 1 - t, -1, -8)):
-                    got[i] = jobs[i][0]._root(jobs[i][1])
+            for i in range(30):
+                k = (t + i // 3) % len(covs)        # runs of equal content, threads out of step
+                src = GaussianCoefficientSource(covs[k], m.idx, seed=0)
+                got.extend(((k, j), src._root(j)) for j in (levels if i % 2 else levels[::-1]))
         except BaseException as e:
             errors.append(e)
 
@@ -406,8 +418,9 @@ def test_root_cache_is_thread_safe(model, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(mlmc._ROOTS) <= mlmc._ROOTS_MAX
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(got) == 8 * 30 * len(levels)
+    assert set(mlmc._ROOTS[1]) <= {2 ** (j + 1) for j in levels}
+    assert all(np.array_equal(g, want[key]) for key, g in got)
 
 
 def _sample_files(tmp_path, m, sched, short_level=None):
