@@ -61,7 +61,7 @@ def _as(key, value, kind):
     try:
         if kind in (bool, str) and not isinstance(value, kind):    # bool() and str() accept anything
             raise TypeError
-        if kind in (int, float) and isinstance(value, bool):       # int(True) is 1
+        if kind in (int, float) and isinstance(value, (bool, str)):  # int(True), int("16")
             raise TypeError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError                                       # int() truncates
@@ -255,7 +255,7 @@ def cmd_mlmc(cfg) -> None:
         rows["level"].append(int(np.log2(p)))
         rows["M_coarse"].append(sched.counts[m.idx.j0])
         rows["op_error"].append(err)
-        rows["rel_error"].append(err / float(np.linalg.norm(truth, 2)))
+        rows["rel_error"].append(err / float(dense_eigvals(truth)[-1]))    # truth is PSD
         rows["contraction"].append(float("nan") if prev is None else prev / err)
         rows["work"].append(sched.work())
         prev = err
@@ -299,7 +299,8 @@ def cmd_krige(cfg) -> None:
     mu, res = kriging.posterior_mean(m.tapered, om, m.system, y, sigma2,
                                      cg_tol=_get(cfg, "cg_tol", 1e-10, float))
     if not res.converged:
-        raise RuntimeError(f"Gram CG stopped unconverged after {res.iterations} iterations")
+        raise RuntimeError(f"Gram CG stopped unconverged after {res.iterations} iterations"
+                           f" at relative residual {res.residual:.2e}")
     targets = np.asarray(_list(cfg, "targets", list(np.arange(256) / 256.0), float))
     pred = kriging.predict_at(m.system, m.curve, mu, targets)
     # the Gram condition number needs the dense K x K Gram: absent above the size rule

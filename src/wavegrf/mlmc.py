@@ -5,7 +5,9 @@ sample counts ``M_{jj'} = M~_{max(j,j')}`` where the per-level budget
 follows the geometric schedule ``M~_j = M_finest * 2^((J-j)(n+alpha)2/3)``
 (rounded up), anchored at the finest level.  Each block uses fresh draws;
 blocks (j,j') and (j',j) are estimated once and mirrored, gathered on the
-taper pattern only.  Dense level roots are kept for one covariance at a time.
+taper pattern only.  Dense level roots are kept for one covariance array at a
+time, keyed by the array itself, which the source makes read-only; a distinct
+array of equal content forms its own table.
 
 Every draw of a block (j,j') with j <= j' is at resolution j', so ``estimate``
 runs one task per level j' on the calling thread and one helper thread per
@@ -17,7 +19,6 @@ result does not depend on the number of threads.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import queue
 import threading
@@ -67,9 +68,9 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
     return SampleSchedule(j0=j0, J=J, counts=counts, n=n)
 
 
-#: the read-only level roots of one covariance, as ((sha256 of C, shape), {p_j: root}):
-#: rebound whole when a source is built on other content (racing threads at worst
-#: compute a root twice; each source keeps its own table, so none gets a wrong one)
+#: the read-only level roots of one covariance, as (C, {p_j: root}): rebound whole
+#: when a source is built on another array (racing threads at worst compute a root
+#: twice; each source keeps its own table, so none gets a wrong one)
 _ROOTS: tuple = (None, {})
 #: largest level dimension p_j given a dense root
 ROOT_MAX_P = 4096
@@ -86,23 +87,23 @@ class GaussianCoefficientSource:
 
     Sampling at resolution ``j`` uses the dense symmetric square root of the
     leading principal block of the covariance (the law of the truncated
-    coefficient vector).  Sources built one after another on equal content
-    share one table of roots; the source keeps a copy of ``C``, so later
-    changes to ``C`` cannot mislabel a root.  Draws are keyed by (seed,
-    stream), reproducible.  Safe to call from several threads.
+    coefficient vector).  Sources built one after another on the same array
+    share one table of roots; the source keeps that array (float64 ``C`` is
+    not copied) and makes it read-only, so no later write can mislabel a
+    root.  A distinct array of equal content forms its own table.  Draws are
+    keyed by (seed, stream), reproducible.  Safe to call from several threads.
     """
 
     def __init__(self, C: np.ndarray, idx: LevelIndexSet, seed: int):
         global _ROOTS
         self.idx = idx
         self.seed = seed
-        self.C = np.array(C, dtype=float, order="C")
-        key = (hashlib.sha256(self.C).digest(), self.C.shape)
+        self.C = C = np.asarray(C, dtype=float)
+        C.flags.writeable = False
         roots = _ROOTS
-        if roots[0] != key:
-            roots = _ROOTS = (key, {})
-        self._roots = roots[1]              # p_j -> read-only root, shared by equal content
-        self._local = threading.local()     # per-thread reused normals buffer ``xi``
+        if roots[0] is not C:               # holding C keeps its id from being reused
+            roots = _ROOTS = (C, {})
+        self._roots = roots[1]              # p_j -> read-only root, shared by this array
 
     def _root(self, j: int) -> np.ndarray:
         if not self.idx.j0 <= j <= self.idx.J:
@@ -121,12 +122,7 @@ class GaussianCoefficientSource:
         """Columns ``cols`` of (count, p(j_res)) i.i.d. coefficient vectors at
         resolution j_res, equal to those of the full draw."""
         root = self._root(j_res)
-        p_j = root.shape[0]
-        buf = getattr(self._local, "xi", None)
-        if buf is None or buf.size < count * p_j:
-            buf = self._local.xi = np.empty(count * p_j)
-        xi = buf[:count * p_j].reshape(count, p_j)
-        rng.stream(self.seed, stream_id).standard_normal(out=xi)
+        xi = rng.stream(self.seed, stream_id).standard_normal((count, root.shape[0]))
         return xi @ root[cols].T
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -249,12 +250,14 @@ def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
     ("sample", {"ell": float("nan")}), ("pattern", {"ell": float("nan")}),
     ("krige", {"sigma2": float("nan"), "p": 64}), ("krige", {"sigma2": float("inf"), "p": 64}),
     ("corrlen", {"ells": [float("nan")]}), ("pattern", {"p": float("inf")}),
+    ("pattern", {"p": "16"}), ("pattern", {"ell": "0.5"}), ("mlmc", {"p_list": ["16"]}),
 ])
 def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
     """A config value of the wrong JSON type is a config error naming its key:
     no TypeError, no fallback to the config's p for a null in p_list, no
-    prediction at a null target, no boolean read as a number, no fractional
-    number truncated to an integer and no NaN or Infinity read as a number."""
+    prediction at a null target, no boolean or string read as a number, no
+    fractional number truncated to an integer and no NaN or Infinity read as
+    a number."""
     rc, out = run(tmp_path, cmd, {"p": 16, "p_list": [16], "runs": 1} | cfg, seed=2)
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -357,6 +360,9 @@ def test_krige_unconverged_gram_cg_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "numerical" and "unconverged" in err["message"]
+    # the final true residual, above the default cg_tol = 1e-10 of an unconverged solve
+    residual = re.search(r"after 2 iterations at relative residual (\S+)$", err["message"])
+    assert residual and float(residual[1]) > 1e-10
     assert not (out / "krige_predictions.csv").exists()
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 import threading
@@ -206,7 +207,7 @@ def test_column_restricted_draw_is_bit_identical_to_full_draw(model):
     cols = np.r_[m.idx.level_slice(J - 2), m.idx.level_slice(J)]
     for seed in range(8):
         src = GaussianCoefficientSource(C, m.idx, seed)
-        src.draw(J - 1, 50, 2)                  # the reused normals buffer grows
+        src.draw(J - 1, 50, 2)                  # a draw at another level first
         full = src.draw(J, 20, 3)
         xi = stream(seed, 3).standard_normal((20, m.idx.p))
         assert np.array_equal(full, xi @ src._root(J).T)
@@ -231,10 +232,11 @@ def test_draw_refuses_a_level_outside_the_index_set(model):
             src.draw(j, 1, 0)
 
 
-def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
-    """Sources built one after another on equal content share one table of
-    roots, one ``eigh`` per level in all; a source on new content replaces
-    the kept table, so it holds the roots of one covariance."""
+def test_root_cache_shared_bounded_and_array_keyed(model, monkeypatch):
+    """Sources built one after another on one array share one table of
+    roots, one ``eigh`` per level in all; the source keeps that array and
+    makes it read-only.  A source on another array, even of equal content,
+    replaces the kept table, so it holds the roots of one covariance."""
     monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
     m = model("matern12", 2, 6, 64)
     C = m.tapered.to_dense()
@@ -243,21 +245,27 @@ def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
     first = GaussianCoefficientSource(C, m.idx, seed=1)
+    assert first.C is C and not C.flags.writeable      # no copy of a float64 C
     r1 = first._root(J)
     assert np.array_equal(r1, want)
     assert not r1.flags.writeable
-    # a second array of equal content shares the roots
+    for j in m.idx.levels:
+        first.draw(j, 1, 0)
+    assert sorted(calls) == sorted((2 ** (j + 1),) * 2 for j in m.idx.levels)
+    # a second source on the same array shares the roots and runs no eigh
     for seed in (2, 3):
-        src = GaussianCoefficientSource(C.copy(), m.idx, seed=seed)
+        src = GaussianCoefficientSource(C, m.idx, seed=seed)
         assert src._root(J) is r1
         for j in m.idx.levels:
             src.draw(j, 1, 0)
-    assert sorted(calls) == sorted((2 ** (j + 1),) * 2 for j in m.idx.levels)
-    # an in-place change of C is new content: a fresh table replaces the kept one
-    C[3, 3] += 1.0
-    r3 = GaussianCoefficientSource(C, m.idx, seed=1)._root(J)
+    assert len(calls) == len(m.idx.levels)
+    # the kept array is read-only: no in-place change can mislabel a root
+    with pytest.raises(ValueError, match="read-only"):
+        C[3, 3] += 1.0
+    # a distinct array of equal content forms its own table, replacing the kept one
+    r3 = GaussianCoefficientSource(C.copy(), m.idx, seed=1)._root(J)
     assert r3 is not r1
-    assert np.array_equal(r3, _eigh_sqrt(C))
+    assert np.array_equal(r3, want)
     assert list(mlmc._ROOTS[1].values()) == [r3]
     # the first source keeps the table it was built with
     assert first._root(J) is r1
@@ -265,6 +273,41 @@ def test_root_cache_shared_bounded_and_content_keyed(model, monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         GaussianCoefficientSource(-np.eye(64), m.idx, seed=0).draw(J, 1, 0)
     assert mlmc._ROOTS[1] == {}
+
+
+def test_source_keeps_its_own_table_when_another_source_rebinds(model, monkeypatch):
+    """A source built on another covariance between this source's rebind of
+    ``_ROOTS`` and its store of the table cannot hand it that covariance's
+    roots: a trace hook runs the other rebind just before the store."""
+    monkeypatch.setattr(mlmc, "_ROOTS", (None, {}))
+    m = model("matern12", 2, 6, 64)
+    J = m.idx.J
+    C, other = m.tapered.to_dense(), m.tapered.to_dense() + np.eye(64)
+    other_table = {64: _eigh_sqrt(other)}
+    code = GaussianCoefficientSource.__init__.__code__
+    lines, first = inspect.getsourcelines(code)
+    store = first + next(i for i, l in enumerate(lines) if "self._roots =" in l)
+    own = []
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == store and not own:
+            own.append(mlmc._ROOTS[1])
+            mlmc._ROOTS = (other, other_table)
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is code else None
+
+    trace = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        src = GaussianCoefficientSource(C, m.idx, seed=0)
+    finally:
+        sys.settrace(trace)
+    assert len(own) == 1 and mlmc._ROOTS[1] is other_table
+    assert src._roots is own[0]
+    assert np.array_equal(src._root(J), _eigh_sqrt(C))
+    assert other_table.keys() == {64}
 
 
 def test_source_refuses_indefinite_covariance(model, monkeypatch):

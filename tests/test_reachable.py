@@ -33,7 +33,6 @@ KEPT = {
     "cached_model": "memoized models shared by the test suite",
     "CsvSampleSource": "documented input of externally generated MLMC samples",
     "write_sample_csv": "documented writer of the CsvSampleSource format",
-    "CgResult.residual": "an unconverged solve reports its residual",
 }
 
 
