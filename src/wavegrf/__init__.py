@@ -23,7 +23,7 @@ from .linalg import (SparseSymMatrix, SpectralBounds, CgResult, precondition,
                      condition_number, sym_function)
 from .elliptic import elliptic_complete, jacobi_sn_cn_dn
 from .sampling import (ContourQuadrature, GrfSample, GrfSampler, build_contour,
-                       apply_sqrt, sqrt_matrix)
+                       apply_sqrt)
 from .mlmc import (SampleSchedule, schedule, GaussianCoefficientSource,
                    CsvSampleSource, MlmcEstimate, estimate, error_report)
 from .kriging import (ObservationSet, ObservationMatrix,

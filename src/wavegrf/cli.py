@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from . import __version__, io, kriging, linalg, mlmc, rng, sampling
+from . import __version__, curves, io, kriging, linalg, mlmc, rng, sampling
 from .compression import aposteriori_threshold
 from .filters import SUPPORTED_PAIRS, build_filter_bank
 from .kernels import KERNEL_NAMES
@@ -59,6 +59,9 @@ def _outdir(cfg) -> Path:
 
 def _as(key, value, kind):
     try:
+        if kind is tuple:                                          # a wavelet pair: two ints
+            d, dt = value if isinstance(value, (list, tuple)) else None
+            return _as(key, d, int), _as(key, dt, int)
         if kind in (bool, str) and not isinstance(value, kind):    # bool() and str() accept anything
             raise TypeError
         if kind in (int, float) and isinstance(value, (bool, str)):  # int(True), int("16")
@@ -70,7 +73,8 @@ def _as(key, value, kind):
             raise ValueError
         return out
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"config key {key!r}: {value!r} is not a {kind.__name__}") from e
+        name = "pair of integers" if kind is tuple else kind.__name__
+        raise ConfigError(f"config key {key!r}: {value!r} is not a {name}") from e
 
 
 def _get(cfg, key, default, kind):
@@ -89,8 +93,11 @@ def _model(cfg, kernel=None, wavelet=None, p=None) -> CovarianceModel:
         raise ConfigError(f"p must be a power of two >= 8, got {p}")
     comp = _get(cfg, "compression", {}, dict)
     try:
-        return CovarianceModel(kernel=kernel, wavelet=wavelet, p=p,
-                               curve=cfg.get("curve", "paper-boundary"),
+        curve = curves.from_config(cfg.get("curve", "paper-boundary"))
+    except ValueError as e:
+        raise ConfigError(f"config key 'curve': {e}") from e
+    try:
+        return CovarianceModel(kernel=kernel, wavelet=wavelet, p=p, curve=curve,
                                ell=_get(cfg, "ell", 1.0, float),
                                a=_get(comp, "a", 2.0, float),
                                a_prime=_get(comp, "a_prime", 2.0, float),
@@ -212,6 +219,9 @@ def cmd_sample(cfg) -> None:
         raise ConfigError(f"count must be at least 1, got {count}")
     K = _get(cfg, "K", 40, int)
     seed = _get(cfg, "seed", 0, int)
+    res = _get(cfg, "resolution", m.idx.J + 3, int)
+    if not m.idx.J + 1 <= res <= 24:                   # a fields CSV of at most 2^24 rows
+        raise ConfigError(f"resolution must lie in [{m.idx.J + 1}, 24], got {res}")
     contour = build_contour(m.spectral_bounds(), K)
     sampler = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour)
     Z = sampler.draw_matrix(seed, count)
@@ -219,7 +229,6 @@ def cmd_sample(cfg) -> None:
     meta = io.standard_meta(cfg) | {"model": m.meta, "K": K, "seed": seed}
     io.write_csv(out / "sample_coeffs.csv",
                  {f"sample{i}": Z[i] for i in range(count)}, meta)
-    res = _get(cfg, "resolution", m.idx.J + 3, int)
     fields = {f"sample{i}": m.system.synthesize_on_grid(Z[i], res)
               for i in range(count)}
     grid = np.arange(2**res) / 2**res

@@ -48,8 +48,9 @@ class CurveSpec:
         # tuples keep the spec hashable (it keys the normalization cache)
         object.__setattr__(self, "cos_coeffs", tuple(self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(self.sin_coeffs))
-        v = np.array([self.scale, *self.cos_coeffs, *self.sin_coeffs])
-        if v.dtype.kind not in "biuf" or not np.isfinite(v).all():
+        vals = (self.scale, *self.cos_coeffs, *self.sin_coeffs)
+        v = np.array(vals)                 # a json true or false is no number here
+        if v.dtype.kind not in "iuf" or bool in map(type, vals) or not np.isfinite(v).all():
             raise ValueError("curve scale and coefficients must be finite numbers")
         if not 0 < len(self.cos_coeffs) == len(self.sin_coeffs) + 1:
             raise ValueError("a curve needs cos_coeffs (a0, ..., an) and n sin_coeffs")

@@ -11,8 +11,10 @@ integral,
 with m = 1 - c-/c+, t_k = (k - 1/2) T / K, w_k = sqrt(c-) sn/cn(t_k | m)
 and T the complete first-kind integral K(m) (the half-period over which
 w sweeps (0, inf)); convergence in K is exponential at a rate set only by
-c+/c-.  A field sample is then ``z = D^-ra S_K xi`` with standard normal
-``xi`` from a counter-based stream.
+c+/c-.  The one rule serves every pair of bounds: at c- = c+ it is m = 0
+and returns sqrt(c-) to rounding.  A field sample is then
+``z = D^-ra S_K xi`` with standard normal ``xi`` from a counter-based stream,
+one per sample index; the rows of ``draw_matrix`` are those draws.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class ContourQuadrature:
     half_period: float            # K(m), the integration endpoint
     poles: np.ndarray             # w_k^2
     weights: np.ndarray           # dn/cn^2 at the nodes
-    scalar: bool = False          # degenerate bounds: sqrt(c) * identity
 
     @property
     def prefactor(self) -> float:
@@ -43,8 +44,6 @@ class ContourQuadrature:
     def scalar_values(self, lam):
         """The rational approximation evaluated at scalar arguments."""
         lam = np.asarray(lam, dtype=float)
-        if self.scalar:
-            return np.sqrt(self.c_minus) * np.ones_like(lam)
         acc = np.zeros_like(lam)
         for w2, g in zip(self.poles, self.weights):
             acc += g / (lam + w2)
@@ -58,8 +57,8 @@ def build_contour(bounds: SpectralBounds, K: int) -> ContourQuadrature:
     lo, hi = bounds.lambda_min, bounds.lambda_max
     if lo <= 0 or hi <= 0:
         raise ValueError("spectral bounds must be positive")
-    if np.isclose(lo, hi, rtol=1e-12):
-        return ContourQuadrature(lo, K, np.pi / 2, np.zeros(K), np.zeros(K), scalar=True)
+    if lo > hi:
+        raise ValueError(f"spectral bounds reversed: lambda_min {lo} > lambda_max {hi}")
     m = 1.0 - lo / hi
     T, _ = elliptic_complete(m)
     t = (np.arange(1, K + 1) - 0.5) * T / K
@@ -78,8 +77,6 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
     residual, as ``cg_solve`` restarts; one that misses it still raises.
     """
     x = np.asarray(x, dtype=float)
-    if contour.scalar:
-        return np.sqrt(contour.c_minus) * x
     apply_R, w2, xn = _as_apply(R), contour.poles, np.linalg.norm(x)
     Y, P, r = np.zeros((contour.K, len(x))), np.tile(x, (contour.K, 1)), x.copy()
     zeta = zeta_old = np.ones(contour.K)
@@ -112,12 +109,6 @@ def apply_sqrt(R, contour: ContourQuadrature, x: np.ndarray,
     return contour.prefactor * apply_R(contour.weights @ Y)
 
 
-def sqrt_matrix(R, contour: ContourQuadrature) -> np.ndarray:
-    """Dense ``S_K = V diag(contour.scalar_values(lam)) V^T`` (small and
-    moderate p) from one ``eigh`` of ``R = V diag(lam) V^T``."""
-    return sym_function(R, contour.scalar_values)
-
-
 @dataclass
 class GrfSample:
     coefficients: np.ndarray
@@ -126,38 +117,33 @@ class GrfSample:
 class GrfSampler:
     """Draws dual-coordinate field samples ``z = D^-ra S_K xi``.
 
-    Up to ``linalg.DENSE_MAX_P`` the p x p operator is formed once (fast for
-    repeated draws); above it each draw is one multi-shift CG solve and no
-    matrix is formed.
+    Up to ``linalg.DENSE_MAX_P`` the p x p operator ``D^-ra S_K`` is formed
+    once from one ``eigh`` of R (fast for repeated draws); above it each draw
+    is one multi-shift CG solve and no matrix is formed.  Either way a draw is
+    one vector ``xi`` at a time, so every batch of draws is those draws.
     """
 
-    def __init__(self, Ceps, idx: LevelIndexSet, ra: float,
-                 contour: ContourQuadrature, cg_tol: float = 1e-12):
+    def __init__(self, Ceps, idx: LevelIndexSet, ra: float, contour: ContourQuadrature):
         self.idx = idx
         self.contour = contour
-        self.cg_tol = cg_tol
         self.R = precondition(Ceps, idx, ra)
         self.dinv = diag_scaling(idx, -ra)
-        self._op = (self.dinv[:, None] * sqrt_matrix(self.R, contour)
-                    if idx.p <= linalg.DENSE_MAX_P else None)
+        self._op = self._dense_op() if idx.p <= linalg.DENSE_MAX_P else None
+
+    def _dense_op(self) -> np.ndarray:
+        return self.dinv[:, None] * sym_function(self.R, self.contour.scalar_values)
 
     def covariance(self) -> np.ndarray:
         """The exact covariance of the draws, ``D^-ra S_K^2 D^-ra``."""
-        op = self.dinv[:, None] * sqrt_matrix(self.R, self.contour) if self._op is None else self._op
+        op = self._dense_op() if self._op is None else self._op
         return op @ op.T                       # S_K is symmetric
 
     def draw(self, seed: int, sample_index: int = 0) -> GrfSample:
         xi = rng.standard_normal(seed, sample_index, self.idx.p)
-        return GrfSample(self._apply(xi))
+        if self._op is not None:
+            return GrfSample(self._op @ xi)
+        return GrfSample(self.dinv * apply_sqrt(self.R, self.contour, xi))
 
     def draw_matrix(self, seed: int, count: int) -> np.ndarray:
-        """(count, p) array of the samples with indices 0, ..., count - 1."""
-        if self._op is not None:
-            xi = np.stack([rng.standard_normal(seed, i, self.idx.p) for i in range(count)])
-            return xi @ self._op.T
+        """(count, p) array whose row i is ``draw(seed, i)``, bit for bit."""
         return np.stack([self.draw(seed, i).coefficients for i in range(count)])
-
-    def _apply(self, xi: np.ndarray) -> np.ndarray:
-        if self._op is not None:
-            return self._op @ xi
-        return self.dinv * apply_sqrt(self.R, self.contour, xi, self.cg_tol)

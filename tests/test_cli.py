@@ -73,7 +73,7 @@ def test_sample_and_krige_take_krylov_side_above_dense_max_p(tmp_path, monkeypat
         assert run(tmp_path, cmd, cfg, seed=11, name=f"{cmd}_dense")[0] == 0
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
     monkeypatch.setattr(linalg, "dense_bounds", _refuse)
-    monkeypatch.setattr(sampling, "sqrt_matrix", _refuse)
+    monkeypatch.setattr(sampling, "sym_function", _refuse)
     for cmd, (cfg, files) in runs.items():
         assert run(tmp_path, cmd, cfg, seed=11, name=f"{cmd}_krylov")[0] == 0
         for f in files:
@@ -251,13 +251,17 @@ def test_bad_list_config_exits_2(tmp_path, capsys, cmd, cfg):
     ("krige", {"sigma2": float("nan"), "p": 64}), ("krige", {"sigma2": float("inf"), "p": 64}),
     ("corrlen", {"ells": [float("nan")]}), ("pattern", {"p": float("inf")}),
     ("pattern", {"p": "16"}), ("pattern", {"ell": "0.5"}), ("mlmc", {"p_list": ["16"]}),
+    ("pattern", {"wavelet": [2, "6"]}), ("sample", {"wavelet": [2, True]}),
+    ("pattern", {"wavelet": [2, 6, 1]}), ("tables", {"families": [[2, "6"]]}),
+    ("tables", {"families": [[2, True]]}), ("tables", {"families": [[2, 6, 1]]}),
+    ("pattern", {"curve": {"kind": "circle", "radius": True}}),
 ])
 def test_wrong_json_type_exits_2(tmp_path, capsys, cmd, cfg):
     """A config value of the wrong JSON type is a config error naming its key:
     no TypeError, no fallback to the config's p for a null in p_list, no
     prediction at a null target, no boolean or string read as a number, no
-    fractional number truncated to an integer and no NaN or Infinity read as
-    a number."""
+    fractional number truncated to an integer, no NaN or Infinity read as
+    a number and no wavelet pair of other than two integers."""
     rc, out = run(tmp_path, cmd, {"p": 16, "p_list": [16], "runs": 1} | cfg, seed=2)
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -280,6 +284,32 @@ def test_dump_flags_and_out_take_only_their_json_type(tmp_path, capsys, monkeypa
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and repr(next(iter(cfg))) in err["message"]
     assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_integral_float_wavelet_pair_reads_as_ints(tmp_path):
+    """``[2, 6.0]`` reads as the pair (2, 6), as ``16.0`` reads as p = 16: the
+    pattern outputs, the model's wavelet among them, equal those of ``[2, 6]``
+    apart from the config hash."""
+    def body(name, f):
+        return [l for l in (tmp_path / name / f).read_text().splitlines()
+                if "config_hash" not in l]
+    for name, pair in (("floats", [2, 6.0]), ("ints", [2, 6])):
+        assert run(tmp_path, "pattern", {"p": 16, "wavelet": pair}, name=name)[0] == 0
+    for f in ("pattern.mtx", "pattern_fingerprint.csv"):
+        assert body("floats", f) == body("ints", f) != []
+    rc, _ = run(tmp_path, "tables", {"families": [[2, 6.0]], "p_list": [16]}, name="tables")
+    assert rc == 0
+
+
+@pytest.mark.parametrize("res", [3, 40])
+def test_sample_resolution_out_of_range_exits_2(tmp_path, capsys, res):
+    """A field resolution below J + 1 (here J = 3) or above 24 is refused
+    before any draw, not left to an allocation of 2^res rows."""
+    rc, out = run(tmp_path, "sample", {"p": 16, "resolution": res}, seed=2)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "resolution" in err["message"]
+    assert not any(out.glob("*.csv"))
 
 
 def test_dump_matrix_false_writes_no_matrix(tmp_path):

@@ -143,7 +143,9 @@ def test_config_roundtrip():
                 {"kind": "fourier", "cos_coeffs": [50, 1, 2], "sin_coeffs": [1]},
                 {"kind": "fourier", "cos_coeffs": [50, "x"], "sin_coeffs": [1]},
                 {"kind": "fourier", "cos_coeffs": 50, "sin_coeffs": []},
-                {"radius": "2"}, {"radius": float("nan")}, {"radious": 2}):
+                {"radius": "2"}, {"radius": float("nan")}, {"radious": 2},
+                {"radius": True}, {"radius": 2, "scale": True},
+                {"kind": "fourier", "cos_coeffs": [50, True], "sin_coeffs": [1.0]}):
         with pytest.raises(ValueError):
             curves.from_config(bad)
 

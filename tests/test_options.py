@@ -16,7 +16,7 @@ LIBRARY = ROOT / "src" / "wavegrf"
 
 #: "function:parameter" (methods as "Class.method") -> why it stays unset
 KEPT = {
-    "GrfSampler.__init__:cg_tol": "tolerance of the shifted CG solves",
+    "apply_sqrt:cg_tol": "tolerance of the shifted CG solves",
     "lanczos_extremes:tol": "stopping tolerance of the Lanczos bounds",
     "schedule:n": "the paper's manifold dimension in the sample schedule",
     "schedule:alpha": "the paper's convergence rate in the sample schedule",

@@ -3,9 +3,8 @@ import pytest
 from scipy import stats
 
 from wavegrf import linalg, sampling
-from wavegrf.linalg import SpectralBounds, dense_bounds
-from wavegrf.sampling import (GrfSampler, apply_sqrt, build_contour,
-                              sqrt_matrix)
+from wavegrf.linalg import SpectralBounds, dense_bounds, sym_function
+from wavegrf.sampling import GrfSampler, apply_sqrt, build_contour
 
 
 def bounds(lo, hi):
@@ -27,10 +26,16 @@ def test_contour_nodes_and_poles():
 
 
 def test_degenerate_bounds_shortcut():
-    q = build_contour(bounds(2.0, 2.0), 7)
-    assert q.scalar
-    y = apply_sqrt(np.array([[2.0]]), q, np.array([3.0]))
-    assert y[0] == pytest.approx(3.0 * np.sqrt(2.0), rel=1e-15)
+    """Equal bounds need no special case: the general rule at m = 0 returns
+    sqrt(c) to rounding, and reversed bounds are refused."""
+    for c in (2.0, 1e-8, 87.7):
+        for K in (1, 7, 40):
+            q = build_contour(bounds(c, c), K)
+            assert q.scalar_values(c) == pytest.approx(np.sqrt(c), rel=1e-15)
+            y = apply_sqrt(np.array([[c]]), q, np.array([3.0]))
+            assert y[0] == pytest.approx(3.0 * np.sqrt(c), rel=1e-15)
+    with pytest.raises(ValueError, match="reversed"):
+        build_contour(bounds(4.0, 1.0), 5)
 
 
 def test_scalar_square_root_exact():
@@ -89,7 +94,7 @@ def test_sqrt_matrix_matches_shifted_solves(model, p):
     eye = np.eye(p)
     ref = q.prefactor * R @ sum(g * np.linalg.solve(R + w2 * eye, eye)
                                 for w2, g in zip(q.poles, q.weights))
-    S = sqrt_matrix(m.preconditioned, q)
+    S = sym_function(m.preconditioned, q.scalar_values)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -97,7 +102,7 @@ def test_dense_covariance_matches_sqrt_matrix(model):
     m = model("matern12", 2, 6, 128)
     q = build_contour(dense_bounds(m.preconditioned), 30)
     sampler = GrfSampler(m.tapered, m.idx, m.order.ra, q)
-    SK = sqrt_matrix(sampler.R, q)
+    SK = sym_function(sampler.R, q.scalar_values)
     ref = sampler.dinv[:, None] * (SK @ SK) * sampler.dinv[None, :]
     cov = sampler.covariance()
     assert np.abs(cov - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -167,7 +172,7 @@ def test_apply_sqrt_matches_dense_route(model):
     m = model("matern12", 2, 6, 128)
     b = dense_bounds(m.preconditioned)
     q = build_contour(b, 16)
-    S = sqrt_matrix(m.preconditioned, q)
+    S = sym_function(m.preconditioned, q.scalar_values)
     x = np.random.default_rng(4).standard_normal(128)
     y_cg = apply_sqrt(m.preconditioned, q, x, cg_tol=1e-13)
     np.testing.assert_allclose(y_cg, S @ x, rtol=1e-10)
@@ -228,12 +233,29 @@ def test_cg_sampler_matches_dense_sampler(model, monkeypatch):
     q = build_contour(dense_bounds(m.preconditioned), 30)
     d = GrfSampler(m.tapered, m.idx, m.order.ra, q).draw(7)
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)       # p = 64 is now above it
-    c = GrfSampler(m.tapered, m.idx, m.order.ra, q, cg_tol=1e-13).draw(7)
+    c = GrfSampler(m.tapered, m.idx, m.order.ra, q).draw(7)
     np.testing.assert_allclose(c.coefficients, d.coefficients, atol=1e-9)
 
 
 def _refuse(*args):
     raise AssertionError("dense operator formed above linalg.DENSE_MAX_P")
+
+
+def test_draw_matrix_rows_are_draws(model, monkeypatch):
+    """Row i of ``draw_matrix`` is ``draw(seed, i)`` bit for bit, on the dense
+    side and on the Krylov side (``linalg.DENSE_MAX_P`` below p = 64)."""
+    m = model("matern12", 2, 6, 64)
+    q = build_contour(dense_bounds(m.preconditioned), 40)
+    for side in ("dense", "krylov"):
+        if side == "krylov":
+            monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
+            monkeypatch.setattr(sampling, "sym_function", _refuse)
+        sampler = GrfSampler(m.tapered, m.idx, m.order.ra, q)
+        assert (sampler._op is None) == (side == "krylov")
+        Z = sampler.draw_matrix(seed=3, count=5)
+        assert Z.shape == (5, 64)
+        for i in range(5):
+            assert np.array_equal(Z[i], sampler.draw(3, i).coefficients), (side, i)
 
 
 def test_krylov_side_above_dense_max_p(model, monkeypatch):
@@ -252,7 +274,7 @@ def test_krylov_side_above_dense_max_p(model, monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 256)
     assert m.spectral_bounds(exact=True) == b_dense               # still forced
     monkeypatch.setattr(linalg, "dense_bounds", _refuse)
-    monkeypatch.setattr(sampling, "sqrt_matrix", _refuse)
+    monkeypatch.setattr(sampling, "sym_function", _refuse)
     b_krylov, sampler, Z_krylov = draws()
     assert b_krylov.lambda_min < b_dense.lambda_min <= b_dense.lambda_max < b_krylov.lambda_max
     assert sampler._op is None
