@@ -242,6 +242,8 @@ def cmd_mlmc(cfg) -> None:
     if runs < 1:
         raise ConfigError(f"runs must be at least 1, got {runs}")
     p_list = _list(cfg, "p_list", [8, 16, 32, 64, 128, 256, 512], int)
+    if max(p_list) > mlmc.ROOT_MAX_P:       # refused before any dense model is built
+        raise ConfigError(f"p_list: dense level roots stop at p = {mlmc.ROOT_MAX_P}")
     M_finest = _get(cfg, "M_finest", 100, int)
     seed = _get(cfg, "seed", 0, int)
     dump = _get(cfg, "dump_estimate", False, bool)
@@ -344,7 +346,7 @@ def cmd_pattern(cfg) -> None:
     out = _outdir(cfg)
     meta = io.standard_meta(cfg) | {"model": m.meta, "nnz": m.pattern.nnz,
                                     "nnz_fraction": m.pattern.nnz_fraction}
-    io.write_matrix_market(out / "pattern.mtx", m.pattern.to_coo(),
+    io.write_matrix_market(out / "pattern.mtx", m.pattern.csr.astype(float),
                            io.standard_meta(cfg))
     io.write_pattern_fingerprint(out / "pattern_fingerprint.csv", m.pattern, meta)
     if dump:

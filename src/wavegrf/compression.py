@@ -7,7 +7,8 @@ the finer function's support keeps a distance ``tau'_{jj'}`` from the
 coarser one's spline knots while the supports themselves are close.  All
 pairs touching the coarsest block are kept.  The curve is evaluated at
 O(p * ARC_SAMPLES) points, tabulated once per level.  The kept positions are
-stored as one symmetric boolean CSR matrix, built in O(nnz).  The cutoffs are
+one symmetric boolean CSR matrix, built in O(nnz); every matrix on the pattern
+is a value array on its index arrays.  The cutoffs are
 
   tau_{jj'}  = a  * max(2^-min(j,j'),
                         2^((2J(d'-r/2) - (j+j')(d'+dt)) / (2 dt + r)))
@@ -24,12 +25,11 @@ import numpy as np
 from scipy import sparse
 
 from .curves import ChordBounds, CurveSpec
+from .linalg import SparseSymMatrix
 from .wavelets import LevelIndexSet, WaveletSystem
 
 #: points per support arc (endpoints included) in the sampled distance minima
 ARC_SAMPLES = 8
-#: largest dimension for which :attr:`TaperPattern.mask` builds a dense mask
-MASK_MAX_P = 4096
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,9 @@ def taper_params(params: CompressionParams, j: int, jp: int, J: int) -> tuple[fl
 
 @dataclass
 class TaperPattern:
-    """Kept positions of the taper: ``csr`` is a symmetric boolean (p, p) CSR
-    matrix with O(p) entries (a dense boolean mask is converted to it)."""
+    """Kept positions of the taper: ``csr``, a symmetric boolean (p, p) CSR
+    matrix with O(p) entries (a dense mask is converted to it), is the one index
+    set of the pattern; matrices on it are values in the order of ``csr.data``."""
     idx: LevelIndexSet
     csr: sparse.csr_matrix
 
@@ -92,33 +93,31 @@ class TaperPattern:
         return self.nnz / float(self.idx.p) ** 2
 
     @property
-    def mask(self) -> np.ndarray:
-        """Dense boolean copy, built on demand for ``p <= MASK_MAX_P`` only."""
-        if self.idx.p > MASK_MAX_P:
-            raise ValueError(f"dense mask refused for p = {self.idx.p} > {MASK_MAX_P}")
-        return self.csr.toarray()
+    def mask(self) -> sparse.csr_matrix:
+        """:attr:`csr`, under the name the benchmark check still reads."""
+        return self.csr
 
     @cached_property
     def _blocks(self) -> dict:
         # entries numbered from 1 in csr order, so that no entry reads as zero
-        ids = sparse.csr_matrix((np.arange(1, self.nnz + 1), self.csr.indices,
-                                 self.csr.indptr), shape=self.csr.shape)
-        rows = {j: ids[self.idx.level_slice(j)] for j in self.idx.levels}
-        coo = {(j, jp): rows[j][:, self.idx.level_slice(jp)].tocoo()
-               for j in self.idx.levels for jp in self.idx.levels}
-        # the mirror block (j', j) in the order of the transposed entries
-        return {(j, jp): (b.row, b.col, b.data - 1,
-                          coo[jp, j].data[np.lexsort((coo[jp, j].row, coo[jp, j].col))] - 1)
-                for (j, jp), b in coo.items()}
+        ids = sparse.csr_matrix((np.arange(1, self.nnz + 1), self.csr.indices, self.csr.indptr),
+                                shape=self.csr.shape)
+        t = ids.T.tocsr()           # if symmetric: the same structure, numbered by mirror
+        if (t.indptr != self.csr.indptr).any() or (t.indices != self.csr.indices).any():
+            raise ValueError("taper pattern is not symmetric")
+        out = {}
+        for a, j in enumerate(self.idx.levels):
+            rows = ids[self.idx.level_slice(j)]
+            for jp in self.idx.levels[a:]:
+                b = rows[:, self.idx.level_slice(jp)].tocoo()
+                out[j, jp] = (b.row, b.col, b.data - 1, t.data[b.data - 1] - 1)
+        return out
 
     def block(self, j: int, jp: int) -> tuple[np.ndarray, ...]:
-        """Local (rows, cols) of the kept entries of level-pair block (j, j'),
-        row-major, then the positions in ``csr.data`` of those entries and of
-        their mirrors in block (j', j)."""
+        """Local (rows, cols) of the kept entries of level-pair block (j, j')
+        for j <= j', row-major, then the positions in ``csr.data`` of those
+        entries and of their mirrors in block (j', j)."""
         return self._blocks[j, jp]
-
-    def to_coo(self) -> sparse.coo_matrix:
-        return sparse.coo_matrix(self.csr, dtype=float)
 
 
 def _classify_vs_threshold(gap, thresh, bounds: ChordBounds, chord_fn):
@@ -236,14 +235,13 @@ def _knot_gap(gj, gp, ii, jj):
 
 
 def apply_pattern(A: np.ndarray, pattern: TaperPattern):
-    """Zero the complement of the pattern, keeping entries bit-exactly."""
-    from .linalg import SparseSymMatrix
-    A = np.asarray(A)
-    if A.shape != pattern.csr.shape:
+    """Zero the complement of the pattern, keeping entries bit-exactly, as
+    values gathered onto the pattern's own index arrays."""
+    A, csr = np.asarray(A), pattern.csr
+    if A.shape != csr.shape:
         raise ValueError("dimension mismatch between matrix and pattern")
-    r, c = pattern.csr.nonzero()
-    M = sparse.coo_matrix((A[r, c], (r, c)), shape=A.shape).tocsr()
-    return SparseSymMatrix(M)
+    r, c = csr.nonzero()
+    return SparseSymMatrix(sparse.csr_matrix((A[r, c], csr.indices, csr.indptr), shape=A.shape))
 
 
 def aposteriori_threshold(S, idx: LevelIndexSet, ra: float, delta: float):
@@ -252,18 +250,13 @@ def aposteriori_threshold(S, idx: LevelIndexSet, ra: float, delta: float):
     Entry (lam, lam') is dropped when ``2^(ra(|lam|+|lam'|)) |entry| < delta``;
     the diagonal is never dropped and drops are symmetric.
     """
-    from .linalg import SparseSymMatrix
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     M = S.csr.tocoo()
     lev = idx.level_of_position()
     weight = np.power(2.0, ra * (lev[M.row] + lev[M.col]))
-    keep = (np.abs(M.data) * weight >= delta) | (M.row == M.col)
-    out = sparse.coo_matrix((M.data[keep], (M.row[keep], M.col[keep])),
-                            shape=M.shape).tocsr()
-    # symmetrize drops: keep an entry only if its mirror survived too
-    pat = (np.abs(out) > 0)
-    both = pat.multiply(pat.T)
-    out = out.multiply(both)
-    return SparseSymMatrix(sparse.csr_matrix(out))
+    keep = sparse.csr_matrix(((np.abs(M.data) * weight >= delta) | (M.row == M.col),
+                              S.csr.indices, S.csr.indptr), shape=S.shape)
+    # symmetric drops: keep an entry only if its mirror is kept too
+    return SparseSymMatrix(S.csr.multiply(keep.multiply(keep.T)))
 

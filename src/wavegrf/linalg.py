@@ -60,8 +60,11 @@ class SparseSymMatrix:
         return self.csr.toarray()
 
     def scaled(self, dvec: np.ndarray) -> "SparseSymMatrix":
-        D = sparse.diags(dvec)
-        return SparseSymMatrix((D @ self.csr @ D).tocsr(), check=False)
+        """``diag(d) A diag(d)``: values ``(d[row] * a) * d[col]`` on the same index arrays."""
+        c = self.csr.tocoo()
+        data = dvec[c.row] * c.data * dvec[c.col]
+        return SparseSymMatrix(sparse.csr_matrix((data, self.csr.indices, self.csr.indptr),
+                                                 shape=self.shape), check=False)
 
 
 def precondition(A, idx: LevelIndexSet, s: float):
@@ -101,8 +104,8 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
     ``tol |b|`` it replaces the recursive one and the search restarts.
     Raises on non-finite values or on indefinite curvature (p^T A p <= 0).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:             # at tol >= 1 the start x = 0 already passes
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     apply_A = _as_apply(A)
     b = np.asarray(b, dtype=float)
     n = len(b)

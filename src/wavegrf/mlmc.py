@@ -214,7 +214,7 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
     different levels possibly at the same time.  The result is the same for
     any number of threads.  It shares the index arrays of ``pattern.csr``.
     """
-    idx = pattern.idx
+    idx, csr = pattern.idx, pattern.csr
     if sched.J != idx.J or sched.j0 != idx.j0:
         raise ValueError("schedule and pattern must share the level range")
     levels = list(idx.levels)
@@ -224,7 +224,7 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
         for jp in levels[a:]:
             streams[j, jp] = stream_id
             stream_id += 1 if jp == j else 2
-    data = np.empty(pattern.nnz)        # the estimate, in the order of pattern.csr
+    data = np.empty(csr.nnz)            # the estimate, in the order of pattern.csr
 
     def level(jp):
         """Blocks (j, j') and their mirrors for j <= j', in increasing j."""
@@ -246,7 +246,6 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
             data[pos] = data[mirror] = blk[r, c]
 
     _run_levels(level, levels)
-    csr = pattern.csr
     M = sparse.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
     return MlmcEstimate(matrix=SparseSymMatrix(M), seed=seed)
 

@@ -42,7 +42,7 @@ class CovarianceModel:
         self.curve = curves.normalize_to_unit_diameter(base) if normalize_curve else base
         self.order = kernels.operator_order(self.kernel)
         self.params = compression.CompressionParams(
-            d=d, dt=dt, r=self.order.r, a=a, a_prime=a_prime, dprime=dprime)
+            d=self.system.d, dt=self.system.dt, r=self.order.r, a=a, a_prime=a_prime, dprime=dprime)
 
     # -- matrices ----------------------------------------------------------
     @cached_property

@@ -20,6 +20,7 @@ a scipy sparse matrix runs the same chain as sparse products and stays CSR.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -117,6 +118,7 @@ class WaveletSystem:
     """
 
     def __init__(self, d: int, dt: int, j0: int | None = None):
+        d, dt = operator.index(d), operator.index(dt)      # 6.0 is not an order
         self.bank: FilterBank = build_filter_bank(d, dt)
         self.d = d
         self.dt = dt
@@ -274,6 +276,6 @@ class WaveletSystem:
         return self.synthesize_at(coeffs, np.arange(2**resolution), resolution, dual)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)      # 6.0 == 6 must not find the system of 6
 def get_system(d: int, dt: int) -> WaveletSystem:
     return WaveletSystem(d, dt)

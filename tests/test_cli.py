@@ -6,6 +6,7 @@ import pytest
 from scipy import io as spio
 from scipy import sparse
 
+from wavegrf import cli
 from wavegrf.cli import main
 from wavegrf.curves import circle, normalize_to_unit_diameter, to_config
 from wavegrf.pipeline import default_wavelet_for
@@ -212,6 +213,19 @@ def test_mlmc_rejects_zero_runs(tmp_path, capsys, cfg):
     assert not (out / "mlmc_errors.csv").exists()
 
 
+def test_mlmc_refuses_p_above_root_cap_before_any_model(tmp_path, capsys, monkeypatch):
+    """A p_list entry above the dense-root cap exits 2 naming ``p_list``,
+    before the first (dense) model is built."""
+    def no_model(*a, **k):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(cli, "_model", no_model)
+    rc, out = run(tmp_path, "mlmc", {"p_list": [8, 8192], "runs": 1}, seed=2)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "p_list" in err["message"]
+    assert not (out / "mlmc_errors.csv").exists()
+
+
 def test_mlmc_rejects_empty_p_list(tmp_path, capsys):
     rc, out = run(tmp_path, "mlmc", {"p_list": [], "runs": 1}, seed=2)
     assert rc == 2
@@ -340,6 +354,15 @@ def test_krige_bad_observations_file_exits_2(tmp_path, capsys, text):
 @pytest.mark.parametrize("K_obs", [0, -3])
 def test_krige_rejects_nonpositive_observation_count(tmp_path, capsys, K_obs):
     rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": K_obs}, seed=2)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (out / "krige_predictions.csv").exists()
+
+
+def test_krige_rejects_a_cg_tolerance_of_one_or_more(tmp_path, capsys):
+    """At ``cg_tol`` >= 1 the zero start already meets the stopping rule:
+    no all-zero prediction after 0 iterations, flagged converged."""
+    rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": 8, "cg_tol": 2.0}, seed=2)
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not (out / "krige_predictions.csv").exists()

@@ -56,19 +56,20 @@ def boundary():
 def test_pattern_invariants(boundary):
     sys_ = get_system(2, 6)
     pat = build_pattern(sys_, boundary, std_params(), J=7)
-    assert np.array_equal(pat.mask, pat.mask.T)
+    mask = pat.csr.toarray()
+    assert np.array_equal(mask, mask.T)
     # all pairs touching the coarsest block are kept
     sl = pat.idx.level_slice(pat.idx.j0)
-    assert np.all(pat.mask[sl, :])
-    assert np.all(pat.mask[:, sl])
-    assert np.all(np.diag(pat.mask))
-    assert pat.nnz == np.count_nonzero(pat.mask)
+    assert np.all(mask[sl, :])
+    assert np.all(mask[:, sl])
+    assert np.all(np.diag(mask))
+    assert pat.nnz == np.count_nonzero(mask)
 
 
 def test_single_block_pattern_all_true(boundary):
     sys_ = get_system(2, 6)
     pat = build_pattern(sys_, boundary, std_params(), J=sys_.j0)
-    assert np.all(pat.mask)
+    assert np.all(pat.csr.toarray())
 
 
 def test_table_nnz_fractions(boundary, model):
@@ -98,12 +99,11 @@ def test_linear_growth_law(boundary):
 def test_apply_pattern_lossless_and_exact(model):
     m = model("matern12", 2, 6, 128)
     C = m.wavelet_dense
-    full = TaperPattern(m.idx, np.ones_like(m.pattern.mask[:128, :128], dtype=bool)
-                        if m.idx.p == 128 else np.ones((128, 128), dtype=bool))
+    full = TaperPattern(m.idx, np.ones((128, 128), dtype=bool))
     S = apply_pattern(C, full)
     assert np.array_equal(S.to_dense(), C)
     S2 = apply_pattern(C, m.pattern)
-    kept = m.pattern.mask
+    kept = m.pattern.csr.toarray()
     # kept entries preserved bit-exactly
     D = S2.to_dense()
     assert np.array_equal(D[kept], C[kept])
@@ -139,7 +139,7 @@ def test_precision_order_pattern():
     sys_ = get_system(2, 6)
     cov = build_pattern(sys_, boundary, std_params(r=-2.0), J=7)
     prec = build_pattern(sys_, boundary, CompressionParams(d=2, dt=6, r=2.0), J=7)
-    assert np.array_equal(prec.mask, prec.mask.T)
+    assert np.array_equal(prec.csr.toarray(), prec.csr.toarray().T)
     assert prec.nnz <= cov.nnz
 
 
@@ -182,11 +182,12 @@ def test_sparsity_report(model):
     """The sparsity the pattern command reports: the pattern's own nnz and
     nnz_fraction, which its level-pair blocks and the tapered matrix share."""
     m = model("matern12", 2, 6, 128)
-    assert m.pattern.nnz == int(m.pattern.mask.sum())
+    assert m.pattern.nnz == int(m.pattern.csr.toarray().sum())
     assert m.pattern.nnz_fraction == pytest.approx(m.pattern.nnz / 128.0**2)
     levels = m.idx.levels
-    assert sum(len(m.pattern.block(j, jp)[0])
-               for j in levels for jp in levels) == m.pattern.nnz
+    # the table holds the blocks j <= j'; an off-diagonal one also counts its mirror
+    assert sum(len(m.pattern.block(j, jp)[0]) * (1 if jp == j else 2)
+               for a, j in enumerate(levels) for jp in levels[a:]) == m.pattern.nnz
     # identity pattern has p entries
     eye = TaperPattern(m.idx, np.eye(128, dtype=bool))
     assert eye.nnz == 128
@@ -291,7 +292,7 @@ def test_pattern_matches_dense_reference(boundary, kname, p):
     sys_, params = _family_params(kname)
     J = int(np.log2(p)) - 1
     pat = build_pattern(sys_, boundary, params, J)
-    assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, J))
+    assert np.array_equal(pat.csr.toarray(), _dense_reference_pattern(sys_, boundary, params, J))
 
 
 @pytest.mark.parametrize("params", [CompressionParams(d=2, dt=6, r=2.0),
@@ -300,14 +301,15 @@ def test_pattern_matches_dense_reference(boundary, kname, p):
 def test_pattern_matches_dense_reference_other_params(boundary, params):
     sys_ = get_system(2, 6)
     pat = build_pattern(sys_, boundary, params, J=7)
-    assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, 7))
+    assert np.array_equal(pat.csr.toarray(), _dense_reference_pattern(sys_, boundary, params, 7))
 
 
 def test_pattern_matches_dense_reference_p4096(boundary):
     sys_, params = _family_params("matern12")
     pat = build_pattern(sys_, boundary, params, J=11)
     assert pat.nnz == 693612
-    assert np.array_equal(pat.mask, _dense_reference_pattern(sys_, boundary, params, 11))
+    assert np.array_equal(pat.csr.toarray(),
+                          _dense_reference_pattern(sys_, boundary, params, 11))
 
 
 @pytest.mark.parametrize("p, nnz, digest", [
@@ -352,9 +354,60 @@ def test_pattern_build_memory_scales_with_nnz(boundary):
     assert peaks[1] / peaks[0] <= 6.0
 
 
-def test_dense_mask_refused_above_limit():
+def test_mask_is_the_pattern_csr_at_every_p():
     idx = get_system(2, 6).index_set(12)       # p = 8192
     pat = TaperPattern(idx, sparse.eye(idx.p, format="csr"))
     assert pat.nnz == idx.p
-    with pytest.raises(ValueError):
-        pat.mask
+    assert pat.mask is pat.csr
+    r = np.array([0, 5, 8191])
+    assert np.all(pat.mask[r, r])
+    assert not np.any(pat.mask[r, r + np.array([1, 1, -1])])
+
+
+@pytest.mark.parametrize("p", [64, 512])
+def test_block_table_holds_the_pairs_j_le_jp_and_their_mirrors(model, p):
+    pat = model("matern12", 2, 6, p).pattern
+    levels = pat.idx.levels
+    assert set(pat._blocks) == {(j, jp) for a, j in enumerate(levels) for jp in levels[a:]}
+    row, col = pat.csr.nonzero()
+    for (j, jp), (r, c, pos, mirror) in pat._blocks.items():
+        sj, sp = pat.idx.level_slice(j), pat.idx.level_slice(jp)
+        assert np.array_equal(row[pos], r + sj.start) and np.array_equal(col[pos], c + sp.start)
+        assert np.array_equal(row[mirror], col[pos]) and np.array_equal(col[mirror], row[pos])
+
+
+def test_block_table_refuses_an_asymmetric_pattern():
+    idx = get_system(2, 6).index_set(3)        # p = 16
+    csr = sparse.eye(idx.p, format="csr") + sparse.csr_matrix(([1.0], ([0], [1])), shape=(16, 16))
+    with pytest.raises(ValueError, match="not symmetric"):
+        TaperPattern(idx, csr).block(idx.j0, idx.j0)
+
+
+def _shares_index_arrays(a, b):
+    # a csr built from (data, indices, indptr) keeps indptr and holds a view of indices
+    return all(np.shares_memory(x, y) and x.shape == y.shape
+               for x, y in ((a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+def test_pattern_shaped_matrices_share_the_pattern_index_arrays(model):
+    """C_eps, R_eps, the sampler's R and an MLMC estimate are values on the
+    pattern's one index set, equal bit for bit to a COO gather and to the
+    product diags(d) @ C_eps @ diags(d)."""
+    from wavegrf import mlmc, sampling
+    m = model("matern12", 2, 6, 128)
+    pat, C = m.pattern.csr, m.wavelet_dense
+    r, c = pat.nonzero()
+    gathered = sparse.coo_matrix((C[r, c], (r, c)), shape=C.shape).tocsr()
+    d = linalg.diag_scaling(m.idx, m.order.ra)
+    scaled = (sparse.diags(d) @ gathered @ sparse.diags(d)).tocsr()
+    contour = sampling.build_contour(m.spectral_bounds(), 8)
+    sampler = sampling.GrfSampler(m.tapered, m.idx, m.order.ra, contour)
+    sched = mlmc.schedule(m.idx.J, m.idx.j0, M_finest=4)
+    est = mlmc.estimate(m.pattern, sched, mlmc.GaussianCoefficientSource(
+        m.tapered.to_dense(), m.idx, seed=1), seed=1).matrix
+    for S in (m.tapered, m.preconditioned, sampler.R, est):
+        assert _shares_index_arrays(S.csr, pat)
+    assert np.array_equal(m.tapered.csr.data, gathered.data)
+    for R in (m.preconditioned, sampler.R):
+        assert np.array_equal(R.csr.indices, scaled.indices)
+        assert np.array_equal(R.csr.data, scaled.data)

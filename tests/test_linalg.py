@@ -90,6 +90,13 @@ def test_cg_a_norm_monotone():
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
+def test_cg_refuses_tolerance_outside_0_1(tol):
+    """At tol >= 1 the start x = 0 meets ``|r| <= tol |b|`` already."""
+    with pytest.raises(ValueError, match="tol"):
+        cg_solve(np.eye(3), np.ones(3), tol=tol)
+
+
 def test_cg_breakdown_on_indefinite():
     A = np.diag([1.0, -1.0])
     with pytest.raises(np.linalg.LinAlgError, match="not SPD"):

@@ -65,6 +65,7 @@ def dense_reference_estimate(pattern, sched, source):
     estimator's column-restricted draws change no kept entry."""
     idx = pattern.idx
     est = np.zeros((idx.p, idx.p))
+    mask = pattern.csr.toarray()
     levels = list(idx.levels)
     stream_id = 1
     for a, j in enumerate(levels):
@@ -81,7 +82,7 @@ def dense_reference_estimate(pattern, sched, source):
                 Z2 = source.draw(max(j, jp), m, stream_id)
                 stream_id += 1
                 blk = 0.5 * (blk + (Z2[:, sp].T @ Z2[:, sj]).T / m)
-            blk = np.where(pattern.mask[sj, sp], blk, 0.0)
+            blk = np.where(mask[sj, sp], blk, 0.0)
             est[sj, sp] = blk
             if jp != j:
                 est[sp, sj] = blk.T
@@ -131,7 +132,7 @@ def test_zero_variance_source_gives_tapered_outer_product(model):
     v = rng.standard_normal(64)
     sched = schedule(m.idx.J, m.idx.j0, M_finest=3)
     est = estimate(m.pattern, sched, ConstantSource(v, m.idx), seed=0)
-    want = np.where(m.pattern.mask, np.outer(v, v), 0.0)
+    want = np.where(m.pattern.csr.toarray(), np.outer(v, v), 0.0)
     np.testing.assert_allclose(est.matrix.to_dense(), want, atol=1e-12)
 
 
@@ -144,7 +145,7 @@ def test_estimate_deterministic_and_logged(model):
     assert np.array_equal(e1.matrix.to_dense(), e2.matrix.to_dense())
     # support contained in the pattern
     D = e1.matrix.to_dense()
-    assert np.all(D[~m.pattern.mask] == 0.0)
+    assert np.all(D[~m.pattern.csr.toarray()] == 0.0)
 
 
 def test_large_sample_estimate_approaches_truth(model):
@@ -161,7 +162,7 @@ def test_large_sample_estimate_approaches_truth(model):
     # per-entry standard error of a Gaussian covariance estimate
     d = np.diag(C)
     se = np.sqrt((np.outer(d, d) + C**2) / M)
-    mask = m.pattern.mask
+    mask = m.pattern.csr.toarray()
     assert np.all(np.abs(est - np.where(mask, C, 0.0))[mask] <= 4.0 * se[mask])
 
 

@@ -389,6 +389,20 @@ def test_synthesize_resolution_validation():
         sys_.synthesize_at(np.ones(64), np.arange(3), 5)
 
 
+def test_float_order_refused_whatever_ran_before():
+    """(2, 6.0) is refused alike in a fresh cache and after (2, 6), whose
+    cached system it hashes equal to; a numpy integer order is an int."""
+    from wavegrf.pipeline import CovarianceModel
+    get_system.cache_clear()
+    for first in (None, (2, 6)):
+        if first:
+            CovarianceModel(wavelet=first, p=16).pattern
+        with pytest.raises(TypeError):
+            CovarianceModel(wavelet=(2, 6.0), p=16).pattern
+    m = CovarianceModel(wavelet=(2, np.int64(6)), p=16)
+    assert m.meta["wavelet"] == [2, 6] and all(type(v) is int for v in m.meta["wavelet"])
+
+
 def test_j0_too_small_rejected():
     with pytest.raises(ValueError):
         WaveletSystem(2, 10, j0=1)
