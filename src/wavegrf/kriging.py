@@ -10,11 +10,21 @@ transform.  The posterior mean
 
     mu = C G^T (G C G^T + sigma^2 I)^(-1) y
 
-is evaluated by CG on the Gram system.  ``G`` is CSR with O(K log p) nonzeros
-(wavelets are local), one sparse transform of the banded single-scale rows: no
-p x K array.  Up to ``linalg.DENSE_MAX_P`` observations CG runs on the dense
-Gram, kept for the last (C_eps, G, sigma^2), the read-only matrices compared by
-identity; above it each iteration is three CSR products and no K^2 array is formed.
+is evaluated by preconditioned CG on the Gram system.  ``G`` is CSR with
+O(K log p) nonzeros (wavelets are local), one sparse transform of the banded
+single-scale rows: no p x K array.  Up to ``linalg.DENSE_MAX_P`` observations
+CG runs on the dense Gram, kept for the last (C_eps, G, sigma^2), the read-only
+matrices compared by identity; above it each iteration is three CSR products
+and no K^2 array is formed.
+
+On both sides the preconditioner is the paper's diagonal scaling, applied on
+the observation side: the K observations, sorted by center, are the first K
+single-scale slots of a length-K_pad wavelet system, and
+``M^-1 = S D^-1 S^T`` with ``S`` those K rows of the dual synthesis and ``D``
+one Rayleigh quotient of the Gram per level.  The Gram is then a covariance
+section in wavelet coordinates, so the iterations stop growing with K and
+1/sigma^2.  ``S`` is CSR with O(K log K) nonzeros; with the dense Gram it is
+kept alongside it, above the size rule it is built once per solve.
 """
 
 from __future__ import annotations
@@ -31,9 +41,12 @@ from .wavelets import WaveletSystem
 
 #: dyadic refinements of a fine cell in the observation quadrature
 OVERSAMPLE = 6
-#: (C_eps, G, sigma2, read-only Gram) of the last dense Gram, rebound whole (racing
-#: threads at worst form it twice); holding the matrices keeps their ids in use
-_GRAM: tuple = (None, None, None, None)
+#: Gram probe columns per wavelet level of the preconditioner's diagonal
+PROBES = 4
+#: (C_eps, G, sigma2, read-only Gram, its preconditioner or None) of the last dense
+#: Gram, rebound whole (racing threads at worst form it twice); holding the
+#: matrices keeps their ids in use
+_GRAM: tuple = (None, None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,7 @@ def equispaced_observations(K: int, width: float, sigma2: float) -> ObservationS
 class ObservationMatrix:
     G_single: sparse.csr_matrix     # K x N against the dual single-scale basis
     G: sparse.csr_matrix            # K x p against the dual wavelets, O(K log p) nnz
+    rank: np.ndarray                # rank of each observation's center: its slot
 
     def __post_init__(self):            # read-only: the kept Gram keys on G itself
         linalg.read_only(self.G_single)
@@ -128,7 +142,9 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     rows, cols, vals = pbox[keep], k[keep] % N, vals[keep]
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
     G = system.fwt(G_single.T).T.tocsr()
-    return ObservationMatrix(G_single=G_single, G=G)
+    rank = np.empty(obs.K, dtype=int)
+    rank[np.argsort(obs.centers, kind="stable")] = np.arange(obs.K)
+    return ObservationMatrix(G_single=G_single, G=G, rank=rank)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray):
@@ -156,17 +172,62 @@ class FactoredGram:
 def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    y: np.ndarray, sigma2: float,
                    cg_tol: float = 1e-10) -> tuple[np.ndarray, CgResult]:
-    """Kriging coefficients ``mu`` in dual coordinates and the CG record;
-    ``system`` is unused.  CG runs on the kept ``gram_matrix`` up to
-    ``linalg.DENSE_MAX_P`` observations, else on the ``FactoredGram``."""
+    """Kriging coefficients ``mu`` in dual coordinates and the CG record, whose
+    ``x`` (the Gram solve, folded into ``mu``) is dropped, so a kept record
+    holds no K-vector.  CG runs on the kept ``gram_matrix`` up to
+    ``linalg.DENSE_MAX_P`` observations, else on the ``FactoredGram``; either
+    way it is preconditioned by the ``WaveletPreconditioner`` over
+    ``system``'s length-K_pad transforms."""
+    global _GRAM
     if not 0 < sigma2 < np.inf:
         raise ValueError("sigma2 must be positive and finite")
     y = np.asarray(y, dtype=float)
-    gram = (gram_matrix(Ceps, obsmat, sigma2) if obsmat.K <= linalg.DENSE_MAX_P
-            else FactoredGram(Ceps, obsmat, sigma2))
-    res = cg_solve(gram, y, tol=cg_tol, max_iter=max(10 * obsmat.K, 200))
+    if obsmat.K <= linalg.DENSE_MAX_P:
+        gram = gram_matrix(Ceps, obsmat, sigma2)
+        *_, kept, precond = _GRAM
+        if kept is not gram or precond is None:
+            precond = WaveletPreconditioner(system, obsmat.rank, gram)
+            _GRAM = (Ceps, obsmat.G, sigma2, gram, precond)
+    else:
+        gram = FactoredGram(Ceps, obsmat, sigma2)
+        precond = WaveletPreconditioner(system, obsmat.rank, gram)
+    res = cg_solve(gram, y, tol=cg_tol, max_iter=max(10 * obsmat.K, 200), precond=precond)
     mu = Ceps @ (obsmat.G.T @ res.x)
+    res.x = None
     return mu, res
+
+
+class WaveletPreconditioner:
+    """``r -> S D^-1 S^T r``, an SPD approximate inverse of a K x K Gram.
+
+    Observation ``i`` sits at single-scale slot ``rank[i]`` of a length-K_pad
+    system, K_pad the larger of the next power of two >= K and ``2^(j0+1)``.
+    ``S`` (K x K_pad, CSR) holds those rows of the dual synthesis
+    ``ifwt_dual``, so ``S^T`` is ``fwt`` of the embedded vector, and it has
+    full row rank K.  ``D`` is constant on each level: the mean of ``s^T A s``
+    over up to ``PROBES`` evenly spaced nonzero columns ``s`` of that level of
+    ``S``, applied through ``gram`` (a K x K array, or an operator that takes
+    (K, m) blocks).  ``r`` is a K-vector or a (K, m) block.
+    """
+
+    def __init__(self, system: WaveletSystem, rank: np.ndarray, gram):
+        K = len(rank)
+        idx = system.index_set_for_dim(max(1 << (K - 1).bit_length(), 2 ** (system.j0 + 1)))
+        S = system.ifwt_dual(sparse.identity(idx.p, format="csr"))[rank]
+        S.eliminate_zeros()
+        live = np.flatnonzero(S.getnnz(axis=0))
+        apply_gram = linalg._as_apply(gram)
+        d = np.empty(idx.p)
+        for j in idx.levels:                # slots 0..K-1 meet every level
+            sl = idx.level_slice(j)
+            cols = live[(live >= sl.start) & (live < sl.stop)]
+            s = S[:, cols[::-(-len(cols) // PROBES)]].toarray()
+            d[sl] = np.mean(np.sum(s * apply_gram(s), axis=0))
+        self.ST = S.T.tocsr()
+        self.S_over_d = (S @ sparse.diags(1.0 / d)).tocsr()
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self.S_over_d @ (self.ST @ r)
 
 
 def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
@@ -185,11 +246,11 @@ def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
     K = obsmat.K
     if K > linalg.DENSE_MAX_P:
         raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
-    C_kept, G_kept, sigma2_kept, gram = _GRAM
+    C_kept, G_kept, sigma2_kept, gram, _ = _GRAM
     if not (C_kept is Ceps and G_kept is obsmat.G and sigma2_kept == sigma2):
         gram = FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
         gram.flags.writeable = False
-        _GRAM = (Ceps, obsmat.G, sigma2, gram)
+        _GRAM = (Ceps, obsmat.G, sigma2, gram, None)
     return gram
 
 

@@ -83,7 +83,7 @@ def precondition(A, idx: LevelIndexSet, s: float):
 
 @dataclass
 class CgResult:
-    x: np.ndarray
+    x: np.ndarray | None                # None once a caller has folded it into its result
     iterations: int
     converged: bool
     residual: float
@@ -95,28 +95,44 @@ def _as_apply(A):
 
 
 def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
-             max_iter: int | None = None) -> CgResult:
-    """Conjugate gradients with residual stopping ``|r| <= tol |b|``.
+             max_iter: int | None = None, precond=None) -> CgResult:
+    """Conjugate gradients with residual stopping ``|r| <= tol |b|``,
+    preconditioned by the SPD operator ``precond`` (``r -> M^-1 r``) if given.
 
     ``converged`` and ``residual`` report the true residual ``b - A x``. It
     is computed when the recursive residual meets ``max(tol, eps)`` (below
     eps that one drifts from it and underflows), or at ``max_iter``; above
     ``tol |b|`` it replaces the recursive one and the search restarts.
-    Raises on non-finite values or on indefinite curvature (p^T A p <= 0).
+    Raises on non-finite values, on indefinite curvature (p^T A p <= 0) or
+    on an indefinite preconditioner (r^T M^-1 r <= 0).  Without ``precond``
+    the iterates are those of plain CG, bit for bit.
     """
     if not 0.0 < tol < 1.0:             # at tol >= 1 the start x = 0 already passes
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     apply_A = _as_apply(A)
+    apply_M = None if precond is None else _as_apply(precond)
+
+    def preconditioned(r, rs):
+        """``M^-1 r`` and ``r^T M^-1 r``; plain CG hands back ``r`` and ``rs``."""
+        if apply_M is None:
+            return r, rs
+        z = apply_M(r)
+        rz = float(r @ z)               # a non-finite z reaches p^T A p next
+        if rz <= 0.0 < rs:
+            raise np.linalg.LinAlgError("PCG breakdown: preconditioner is not SPD")
+        return z, rz
+
     b = np.asarray(b, dtype=float)
     n = len(b)
     max_iter = 10 * n if max_iter is None else max_iter
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
     rs = float(r @ r)
     bn = np.sqrt(float(b @ b))
     if bn == 0.0:
         return CgResult(x, 0, True, 0.0)
+    z, rz = preconditioned(r, rs)
+    p = z.copy()
     check = max(tol, np.finfo(float).eps) * bn
     it = 0
     while True:
@@ -125,7 +141,8 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
             rs = float(r @ r)
             if np.sqrt(rs) <= tol * bn or it >= max_iter:
                 break
-            p = r.copy()
+            z, rz = preconditioned(r, rs)
+            p = z.copy()
         Ap = apply_A(p)
         # any inf or NaN in p or Ap reaches p @ Ap, since 0 * inf is NaN
         pAp = float(p @ Ap)
@@ -133,12 +150,13 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
             raise FloatingPointError("non-finite value in CG matvec")
         if pAp <= 0.0:
             raise np.linalg.LinAlgError("CG breakdown: operator is not SPD")
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = float(r @ r)
+        z, rz_new = preconditioned(r, rs)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
         it += 1
     return CgResult(x, it, np.sqrt(rs) <= tol * bn, float(np.sqrt(rs) / bn))
 

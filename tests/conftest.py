@@ -14,7 +14,7 @@ def gram_builds(monkeypatch):
     """Shapes of the K-column blocks ``FactoredGram`` is applied to, one per
     dense Gram formed; the kept Gram is dropped first."""
     from wavegrf import kriging
-    monkeypatch.setattr(kriging, "_GRAM", (None, None, None, None))
+    monkeypatch.setattr(kriging, "_GRAM", (None,) * 5)
     apply, shapes = kriging.FactoredGram.__call__, []
 
     def counted(self, v):

@@ -405,8 +405,8 @@ def test_krige_unconverged_gram_cg_exits_3(tmp_path, capsys, monkeypatch):
     import wavegrf.kriging as kr
     from wavegrf.linalg import cg_solve
 
-    def capped(A, b, tol, max_iter=None):
-        return cg_solve(A, b, tol=tol, max_iter=2)
+    def capped(A, b, tol, max_iter=None, precond=None):
+        return cg_solve(A, b, tol=tol, max_iter=2, precond=precond)
 
     monkeypatch.setattr(kr, "cg_solve", capped)
     rc, out = run(tmp_path, "krige", {"p": 64, "K_obs": 8, "K": 20}, seed=5)

@@ -108,6 +108,83 @@ def test_cg_rejects_nonfinite():
         return np.full_like(v, np.nan)
     with pytest.raises(FloatingPointError):
         cg_solve(bad, np.ones(3), tol=1e-10)
+    with pytest.raises(FloatingPointError):         # from the preconditioner too
+        cg_solve(np.eye(3), np.ones(3), tol=1e-10, precond=bad)
+
+
+def _plain_cg_reference(A, b, tol, max_iter):
+    """The unpreconditioned loop as it was before ``precond`` existed: the
+    reference that ``precond=None`` must follow bit for bit."""
+    x, r = np.zeros_like(b), b.copy()
+    p, rs, bn = r.copy(), float(r @ r), np.sqrt(float(b @ b))
+    check, it = max(tol, np.finfo(float).eps) * bn, 0
+    while True:
+        if np.sqrt(rs) <= check or it >= max_iter:
+            r = b - A @ x
+            rs = float(r @ r)
+            if np.sqrt(rs) <= tol * bn or it >= max_iter:
+                break
+            p = r.copy()
+        Ap = A @ p
+        alpha = rs / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+        it += 1
+    return x, it, float(np.sqrt(rs) / bn)
+
+
+@pytest.mark.parametrize("tol,max_iter", [(1e-10, 400), (1e-300, 150), (1e-8, 7)])
+def test_cg_without_preconditioner_keeps_plain_iterates(tol, max_iter):
+    """``precond=None`` is plain CG, bit for bit, through the restarts on the
+    true residual (tol 1e-300) and at the iteration cap."""
+    rng = np.random.default_rng(21)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    A = Q @ np.diag(np.geomspace(1e-3, 1.0, 60)) @ Q.T
+    A = (A + A.T) / 2.0
+    b = rng.standard_normal(60)
+    x, it, residual = _plain_cg_reference(A, b, tol, max_iter)
+    res = cg_solve(A, b, tol=tol, max_iter=max_iter)
+    assert np.array_equal(res.x, x)
+    assert (res.iterations, res.residual) == (it, residual)
+
+
+def test_pcg_reports_the_true_residual():
+    """With a preconditioner, ``converged`` and ``residual`` still measure
+    ``b - A x``, converged or stopped at the cap, and a good preconditioner
+    cuts the iterations."""
+    rng = np.random.default_rng(22)
+    Q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+    scale = np.geomspace(1.0, 1e3, 80)
+    A = scale[:, None] * (Q @ np.diag(np.linspace(1.0, 3.0, 80)) @ Q.T) * scale[None, :]
+    A = (A + A.T) / 2.0
+    b = rng.standard_normal(80)
+
+    def jacobi(r):
+        return r / np.diag(A)
+
+    def true_residual(x):
+        return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+    res = cg_solve(A, b, tol=1e-10, precond=jacobi)
+    assert res.converged and res.residual <= 1e-10
+    assert res.residual == pytest.approx(true_residual(res.x), rel=1e-12)
+    assert res.iterations < cg_solve(A, b, tol=1e-10).iterations
+    capped = cg_solve(A, b, tol=1e-10, max_iter=3, precond=jacobi)
+    assert not capped.converged
+    assert capped.residual == pytest.approx(true_residual(capped.x), rel=1e-12)
+    assert capped.residual > 1e-10
+
+
+@pytest.mark.parametrize("precond", [lambda r: -r, lambda r: 0.0 * r,
+                                     lambda r: r * np.array([1.0, -4.0])])
+def test_pcg_refuses_an_indefinite_preconditioner(precond):
+    """``r^T M^-1 r <= 0`` for a nonzero residual raises."""
+    A = np.diag([1.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError, match="preconditioner is not SPD"):
+        cg_solve(A, np.array([1.0, 1.0]), tol=1e-10, precond=precond)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
