@@ -12,10 +12,10 @@ transform.  The posterior mean
 
 is evaluated by preconditioned CG on the Gram system.  ``G`` is CSR with
 O(K log p) nonzeros (wavelets are local), one sparse transform of the banded
-single-scale rows: no p x K array.  Up to ``linalg.DENSE_MAX_P`` observations
-CG runs on the dense Gram, kept for the last (C_eps, G, sigma^2), the read-only
-matrices compared by identity; above it each iteration is three CSR products
-and no K^2 array is formed.
+single-scale rows: no p x K array.  The Gram, kept with its preconditioner
+for the last (C_eps, G, sigma^2) compared by identity, is the dense K x K
+array up to ``linalg.DENSE_MAX_P`` observations; above it each iteration is
+three CSR products and no K^2 array is formed.
 
 On both sides the preconditioner is the paper's diagonal scaling, applied on
 the observation side: the K observations, sorted by center, are the first K
@@ -23,8 +23,7 @@ single-scale slots of a length-K_pad wavelet system, and
 ``M^-1 = S D^-1 S^T`` with ``S`` those K rows of the dual synthesis and ``D``
 one Rayleigh quotient of the Gram per level.  The Gram is then a covariance
 section in wavelet coordinates, so the iterations stop growing with K and
-1/sigma^2.  ``S`` is CSR with O(K log K) nonzeros; with the dense Gram it is
-kept alongside it, above the size rule it is built once per solve.
+1/sigma^2.  ``S`` is CSR with O(K log K) nonzeros.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from .wavelets import WaveletSystem
 OVERSAMPLE = 6
 #: Gram probe columns per wavelet level of the preconditioner's diagonal
 PROBES = 4
-#: (C_eps, G, sigma2, read-only Gram, its preconditioner or None) of the last dense
-#: Gram, rebound whole (racing threads at worst form it twice); holding the
+#: (C_eps, G, sigma2, Gram, its preconditioner or None) of the last Gram, rebound
+#: whole by ``_kept`` (racing threads at worst form it twice); holding the
 #: matrices keeps their ids in use
 _GRAM: tuple = (None, None, None, None, None)
 
@@ -108,7 +107,9 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
 
     Single-scale entries are composite trapezoid quadratures of the
     cascade-evaluated dual scaling function over each box (box endpoints are
-    snapped to the quadrature grid); wavelet rows follow by the fast
+    snapped to the quadrature grid), one per (box, translate) pair whose
+    supports meet: a segment sum of the table over the nodes they share, less
+    half the end values at a box end.  Wavelet rows follow by the fast
     transform.  Unit-mass normalization is against the surface measure of
     ``curve``.  Boxes must span at least one fine-level cell so the
     quadrature resolves them.
@@ -127,17 +128,15 @@ def build_observation_matrix(system: WaveletSystem, obs: ObservationSet,
     n0 = np.rint((obs.centers - obs.widths / 2.0) / tau).astype(int)
     n1 = np.rint((obs.centers + obs.widths / 2.0) / tau).astype(int)
     box, nodes, box_at = _ranges(n0, n1 + 1)     # trapezoid nodes of each box
-
-    def weights(b, n):
-        return np.where((n == n0[b]) | (n == n1[b]), tau / 2.0, tau)
-
-    mass = np.add.reduceat(weights(box, nodes) * curve.weight_t(nodes * tau), box_at)
-    # translates k whose tabulated support meets the box, then their shared nodes
-    pbox, k, _ = _ranges((n0 - lo - n_tab + per - 1) // per, (n1 - lo) // per + 1)
-    tpair, n, pair_at = _ranges(np.maximum(n0[pbox], per * k + lo),
-                                np.minimum(n1[pbox], per * k + lo + n_tab - 1) + 1)
-    sums = np.add.reduceat(weights(pbox[tpair], n) * phi[n - per * k[tpair] - lo], pair_at)
-    vals = 2.0 ** (L / 2.0) * sums / mass[pbox]
+    mass = np.add.reduceat(np.where((nodes == n0[box]) | (nodes == n1[box]), tau / 2.0, tau)
+                           * curve.weight_t(nodes * tau), box_at)
+    # translates k whose table meets the box; a..b the box ends as table indices
+    pbox, k, _ = _ranges((n0 - lo - n_tab + per) // per, (n1 - lo) // per + 1)
+    a, b = n0[pbox] - per * k - lo, n1[pbox] - per * k - lo
+    a_in, b_in = np.maximum(a, 0), np.minimum(b, n_tab - 1)
+    sums = np.add.reduceat(np.append(phi, 0.0), np.stack([a_in, b_in + 1], 1).ravel())[::2]
+    sums -= np.where(a == a_in, phi[a_in] / 2.0, 0.0) + np.where(b == b_in, phi[b_in] / 2.0, 0.0)
+    vals = 2.0 ** (L / 2.0) * (tau * sums) / mass[pbox]
     keep = np.abs(vals) > 1e-14
     rows, cols, vals = pbox[keep], k[keep] % N, vals[keep]
     G_single = sparse.coo_matrix((vals, (rows, cols)), shape=(obs.K, N)).tocsr()
@@ -174,27 +173,32 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
                    cg_tol: float = 1e-10) -> tuple[np.ndarray, CgResult]:
     """Kriging coefficients ``mu`` in dual coordinates and the CG record, whose
     ``x`` (the Gram solve, folded into ``mu``) is dropped, so a kept record
-    holds no K-vector.  CG runs on the kept ``gram_matrix`` up to
-    ``linalg.DENSE_MAX_P`` observations, else on the ``FactoredGram``; either
-    way it is preconditioned by the ``WaveletPreconditioner`` over
-    ``system``'s length-K_pad transforms."""
-    global _GRAM
+    holds no K-vector.  CG runs on the kept Gram, preconditioned by the kept
+    ``WaveletPreconditioner`` over ``system``'s length-K_pad transforms."""
     if not 0 < sigma2 < np.inf:
         raise ValueError("sigma2 must be positive and finite")
-    y = np.asarray(y, dtype=float)
-    if obsmat.K <= linalg.DENSE_MAX_P:
-        gram = gram_matrix(Ceps, obsmat, sigma2)
-        *_, kept, precond = _GRAM
-        if kept is not gram or precond is None:
-            precond = WaveletPreconditioner(system, obsmat.rank, gram)
-            _GRAM = (Ceps, obsmat.G, sigma2, gram, precond)
-    else:
-        gram = FactoredGram(Ceps, obsmat, sigma2)
-        precond = WaveletPreconditioner(system, obsmat.rank, gram)
+    gram, precond = _kept(Ceps, obsmat, sigma2, system)
     res = cg_solve(gram, y, tol=cg_tol, max_iter=max(10 * obsmat.K, 200), precond=precond)
     mu = Ceps @ (obsmat.G.T @ res.x)
     res.x = None
     return mu, res
+
+
+def _kept(Ceps, obsmat: ObservationMatrix, sigma2: float, system: WaveletSystem | None):
+    """Gram and (given ``system``) preconditioner of (``Ceps``, ``G``, ``sigma2``),
+    kept in ``_GRAM``, which only this writes.  The Gram is the dense read-only
+    array up to ``linalg.DENSE_MAX_P`` observations, else the ``FactoredGram``."""
+    global _GRAM
+    C_kept, G_kept, sigma2_kept, gram, precond = _GRAM
+    if not (C_kept is Ceps and G_kept is obsmat.G and sigma2_kept == sigma2):
+        gram, precond = FactoredGram(Ceps, obsmat, sigma2), None
+        if obsmat.K <= linalg.DENSE_MAX_P:
+            gram = gram(np.eye(obsmat.K))
+            gram.flags.writeable = False
+    if precond is None and system is not None:
+        precond = WaveletPreconditioner(system, obsmat.rank, gram)
+    _GRAM = (Ceps, obsmat.G, sigma2, gram, precond)
+    return gram, precond
 
 
 class WaveletPreconditioner:
@@ -235,23 +239,16 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
     """Direct dense evaluation of the posterior mean (validation oracle)."""
     C = np.asarray(C, dtype=float)
     G = G.toarray() if sparse.issparse(G) else np.asarray(G, dtype=float)
-    M = G @ C @ G.T + sigma2 * np.eye(G.shape[0])
-    return C @ G.T @ np.linalg.solve(M, np.asarray(y, dtype=float))
+    CG = C @ G.T
+    return CG @ np.linalg.solve(G @ CG + sigma2 * np.eye(G.shape[0]), np.asarray(y, dtype=float))
 
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
-    """The dense ``G C G^T + sigma2 I``, read-only; the last one is kept, keyed on
-    the read-only ``SparseSymMatrix`` ``Ceps`` and ``G`` by identity and on ``sigma2``."""
-    global _GRAM
-    K = obsmat.K
-    if K > linalg.DENSE_MAX_P:
+    """The dense ``G C G^T + sigma2 I``, read-only, kept by ``_kept`` for the read-only
+    ``SparseSymMatrix`` ``Ceps`` and ``G`` (compared by identity) and ``sigma2``."""
+    if obsmat.K > linalg.DENSE_MAX_P:
         raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
-    C_kept, G_kept, sigma2_kept, gram, _ = _GRAM
-    if not (C_kept is Ceps and G_kept is obsmat.G and sigma2_kept == sigma2):
-        gram = FactoredGram(Ceps, obsmat, sigma2)(np.eye(K))
-        gram.flags.writeable = False
-        _GRAM = (Ceps, obsmat.G, sigma2, gram, None)
-    return gram
+    return _kept(Ceps, obsmat, sigma2, None)[0]
 
 
 def predict_at(system: WaveletSystem, curve: CurveSpec, mu: np.ndarray,

@@ -102,7 +102,8 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
     ``converged`` and ``residual`` report the true residual ``b - A x``. It
     is computed when the recursive residual meets ``max(tol, eps)`` (below
     eps that one drifts from it and underflows), or at ``max_iter``; above
-    ``tol |b|`` it replaces the recursive one and the search restarts.
+    ``tol |b|`` it replaces the recursive one and the search restarts, unless
+    it is no lower than at the last restart: then ``tol`` is out of reach.
     Raises on non-finite values, on indefinite curvature (p^T A p <= 0) or
     on an indefinite preconditioner (r^T M^-1 r <= 0).  Without ``precond``
     the iterates are those of plain CG, bit for bit.
@@ -134,13 +135,14 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-12,
     z, rz = preconditioned(r, rs)
     p = z.copy()
     check = max(tol, np.finfo(float).eps) * bn
-    it = 0
+    it, restart_rs = 0, np.inf
     while True:
         if np.sqrt(rs) <= check or it >= max_iter:
             r = b - apply_A(x)
             rs = float(r @ r)
-            if np.sqrt(rs) <= tol * bn or it >= max_iter:
+            if np.sqrt(rs) <= tol * bn or it >= max_iter or rs >= restart_rs:
                 break
+            restart_rs = rs
             z, rz = preconditioned(r, rs)
             p = z.copy()
         Ap = apply_A(p)

@@ -141,6 +141,10 @@ def test_observation_matrix_matches_loop_reference(model, fam, p):
             # a box across t = 0 and one a few cells wide
             ObservationSet(centers=np.array([0.999, 0.3]),
                            widths=np.array([0.03, 5.0 / p]), sigma2=1.0)]
+    # scattered boxes where a translate's table ends one node before a box:
+    # no entry for that pair (an empty segment once took the next one's sum)
+    sets += [_scattered_observations(n, np.random.default_rng(seed))
+             for n, seed in ((200, 240), (100, 7)) if 0.5 / n >= 1.0 / p]
     for obs in sets:
         got = build_observation_matrix(m.system, obs, m.idx.J, m.curve).G_single
         want = _loop_single_scale_rows(m.system, obs, m.idx.J, m.curve)
@@ -276,7 +280,9 @@ def test_factored_gram_matches_dense_gram_and_oracle(model, monkeypatch):
     mu_dense, res_dense = posterior_mean(m.tapered, om, m.system, y, obs.sigma2,
                                          cg_tol=1e-12)
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 255)
+    monkeypatch.setattr(kriging, "_GRAM", (None,) * 5)    # else the same key keeps it dense
     mu, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-12)
+    assert isinstance(kriging._GRAM[3], FactoredGram)
     assert res.converged and res_dense.converged
     assert np.linalg.norm(mu_dense - oracle) <= 1e-8 * np.linalg.norm(oracle)
     assert np.linalg.norm(mu - oracle) <= 1e-8 * np.linalg.norm(oracle)
@@ -312,6 +318,32 @@ def test_dense_gram_formed_once_per_content(model, gram_builds):
         om.G.data[0] = 0.0
     for M in (same.csr, om.G, om.G_single):
         assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
+
+
+def test_factored_gram_and_preconditioner_kept_per_key(model, monkeypatch):
+    """Above the size rule the factored Gram and its preconditioner are kept
+    under the same (C_eps, G, sigma2) key as the dense Gram: a second solve
+    builds no preconditioner and gives the same mu bit for bit."""
+    m = model("matern12", 2, 6, 128)
+    obs = equispaced_observations(32, 4.0 / 128, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 31)
+    monkeypatch.setattr(kriging, "_GRAM", (None,) * 5)
+    init, builds = kriging.WaveletPreconditioner.__init__, []
+
+    def counted(self, *args):
+        builds.append(len(args[1]))               # (system, rank, gram): K
+        init(self, *args)
+
+    monkeypatch.setattr(kriging.WaveletPreconditioner, "__init__", counted)
+    y = np.random.default_rng(12).standard_normal(32)
+    mu1, _ = posterior_mean(m.tapered, om, m.system, y, obs.sigma2)
+    mu2, _ = posterior_mean(m.tapered, om, m.system, y, obs.sigma2)
+    assert builds == [32]
+    assert isinstance(kriging._GRAM[3], FactoredGram)
+    assert np.array_equal(mu1, mu2)
+    posterior_mean(m.tapered, om, m.system, y, 2e-2)
+    assert len(builds) == 2
 
 
 def test_gram_spectrum_bounds(model):
@@ -440,6 +472,20 @@ def test_unattainable_tolerance_reported_unconverged(model, monkeypatch, dense_m
     _, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-300)
     assert not res.converged
     assert res.residual > 0.0
+
+
+def test_unattainable_tolerance_stops_when_a_restart_stalls(model):
+    """At cg_tol = 1e-12 and sigma^2 = 1e-6 the (1024, 512) Gram solve cannot
+    reach the tolerance; it stops once a restart no longer lowers the true
+    residual (it spent all 5120 iterations before) and reports it."""
+    m = model("matern12", 2, 6, 1024)
+    obs = equispaced_observations(512, 0.5 / 512, 1e-6)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    y = np.random.default_rng(512).standard_normal(512)
+    _, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-12)
+    assert not res.converged
+    assert res.iterations <= 100
+    assert 1e-12 < res.residual < 1e-9
 
 
 def _recursive_residual_cg(A, b, tol):
