@@ -62,7 +62,7 @@ def _as(key, value, kind):
         if kind is tuple:                                          # a wavelet pair: two ints
             d, dt = value if isinstance(value, (list, tuple)) else None
             return _as(key, d, int), _as(key, dt, int)
-        if kind in (bool, str) and not isinstance(value, kind):    # bool() and str() accept anything
+        if kind in (bool, str, dict) and not isinstance(value, kind):  # bool(), str(), dict() convert
             raise TypeError
         if kind in (int, float) and isinstance(value, (bool, str)):  # int(True), int("16")
             raise TypeError
@@ -318,7 +318,7 @@ def cmd_krige(cfg) -> None:
     meta = io.standard_meta(cfg) | {
         "model": m.meta, "cg_iterations": res.iterations,
         "gram_cond": (condition_number(kriging.gram_matrix(m.tapered, om, sigma2))
-                      if obs.K <= linalg.DENSE_MAX_P else None)}
+                      if m.idx.p <= linalg.DENSE_MAX_P else None)}
     io.write_csv(out / "krige_predictions.csv", {"t": targets, "value": pred}, meta)
     io.write_csv(out / "krige_observations.csv",
                  {"center": obs.centers, "width": obs.widths, "value": y}, meta)

@@ -14,8 +14,9 @@ is evaluated by preconditioned CG on the Gram system.  ``G`` is CSR with
 O(K log p) nonzeros (wavelets are local), one sparse transform of the banded
 single-scale rows: no p x K array.  The Gram, kept with its preconditioner
 for the last (C_eps, G, sigma^2) compared by identity, is the dense K x K
-array up to ``linalg.DENSE_MAX_P`` observations; above it each iteration is
-three CSR products and no K^2 array is formed.
+array while the model's p is at most ``linalg.DENSE_MAX_P``; above it each
+iteration is three CSR products and no K^2 array is formed.  Disjoint boxes
+at least 1/p wide give K <= p, so the dense side has K <= ``DENSE_MAX_P``.
 
 On both sides the preconditioner is the paper's diagonal scaling, applied on
 the observation side: the K observations, sorted by center, are the first K
@@ -187,12 +188,13 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
 def _kept(Ceps, obsmat: ObservationMatrix, sigma2: float, system: WaveletSystem | None):
     """Gram and (given ``system``) preconditioner of (``Ceps``, ``G``, ``sigma2``),
     kept in ``_GRAM``, which only this writes.  The Gram is the dense read-only
-    array up to ``linalg.DENSE_MAX_P`` observations, else the ``FactoredGram``."""
+    array while ``Ceps``'s p is at most ``linalg.DENSE_MAX_P``, else the
+    ``FactoredGram``."""
     global _GRAM
     C_kept, G_kept, sigma2_kept, gram, precond = _GRAM
     if not (C_kept is Ceps and G_kept is obsmat.G and sigma2_kept == sigma2):
         gram, precond = FactoredGram(Ceps, obsmat, sigma2), None
-        if obsmat.K <= linalg.DENSE_MAX_P:
+        if Ceps.shape[0] <= linalg.DENSE_MAX_P:
             gram = gram(np.eye(obsmat.K))
             gram.flags.writeable = False
     if precond is None and system is not None:
@@ -245,9 +247,11 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
     """The dense ``G C G^T + sigma2 I``, read-only, kept by ``_kept`` for the read-only
-    ``SparseSymMatrix`` ``Ceps`` and ``G`` (compared by identity) and ``sigma2``."""
-    if obsmat.K > linalg.DENSE_MAX_P:
-        raise ValueError(f"dense Gram assembly capped at K = {linalg.DENSE_MAX_P}")
+    ``SparseSymMatrix`` ``Ceps`` and ``G`` (compared by identity) and ``sigma2``;
+    refused when ``Ceps``'s p is above ``linalg.DENSE_MAX_P``."""
+    if Ceps.shape[0] > linalg.DENSE_MAX_P:
+        raise ValueError(f"dense Gram assembly capped at p = {linalg.DENSE_MAX_P}, "
+                         f"got p = {Ceps.shape[0]}")
     return _kept(Ceps, obsmat, sigma2, None)[0]
 
 

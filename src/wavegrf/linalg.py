@@ -13,7 +13,8 @@ from .wavelets import LevelIndexSet, diag_scaling
 #: relative widening of Lanczos bounds (Ritz values lie inside the spectrum),
 #: Lanczos step cap and start-vector seed
 BOUNDS_SAFETY, LANCZOS_MAX_ITER, LANCZOS_SEED = 0.1, 400, 7
-#: largest p given dense bounds, sparse cond, sampler operator and Gram; above, Krylov
+#: largest model p given dense bounds, sparse cond, sampler operator and kriging
+#: Gram (whatever K); above, Krylov
 DENSE_MAX_P = 2048
 
 

@@ -67,10 +67,6 @@ class CovarianceModel:
         """R_eps = D^ra C_eps D^ra."""
         return linalg.precondition(self.tapered, self.idx, self.order.ra)
 
-    @cached_property
-    def preconditioned_dense(self) -> np.ndarray:
-        return linalg.precondition(self.wavelet_dense, self.idx, self.order.ra)
-
     def spectral_bounds(self, exact: bool = False) -> linalg.SpectralBounds:
         """Dense bounds up to ``linalg.DENSE_MAX_P`` or if ``exact``, else widened Lanczos."""
         if exact or self.idx.p <= linalg.DENSE_MAX_P:
@@ -95,8 +91,3 @@ class CovarianceModel:
             ],
         }
 
-
-@lru_cache(maxsize=32)
-def cached_model(kernel: str, d: int, dt: int, p: int) -> CovarianceModel:
-    """Memoized models on the paper boundary, shared by the test-suite."""
-    return CovarianceModel(kernel=kernel, wavelet=(d, dt), p=p)

@@ -128,15 +128,8 @@ class GrfSampler:
         self.contour = contour
         self.R = precondition(Ceps, idx, ra)
         self.dinv = diag_scaling(idx, -ra)
-        self._op = self._dense_op() if idx.p <= linalg.DENSE_MAX_P else None
-
-    def _dense_op(self) -> np.ndarray:
-        return self.dinv[:, None] * sym_function(self.R, self.contour.scalar_values)
-
-    def covariance(self) -> np.ndarray:
-        """The exact covariance of the draws, ``D^-ra S_K^2 D^-ra``."""
-        op = self._dense_op() if self._op is None else self._op
-        return op @ op.T                       # S_K is symmetric
+        self._op = (self.dinv[:, None] * sym_function(self.R, contour.scalar_values)
+                    if idx.p <= linalg.DENSE_MAX_P else None)
 
     def draw(self, seed: int, sample_index: int = 0) -> GrfSample:
         xi = rng.standard_normal(seed, sample_index, self.idx.p)

@@ -1,12 +1,20 @@
+from functools import lru_cache
+
 import pytest
 
-from wavegrf.pipeline import cached_model
+from wavegrf.pipeline import CovarianceModel
+
+
+@lru_cache(maxsize=32)
+def _model(kernel: str, d: int, dt: int, p: int) -> CovarianceModel:
+    return CovarianceModel(kernel=kernel, wavelet=(d, dt), p=p)
 
 
 @pytest.fixture(scope="session")
 def model():
-    """Memoized covariance models, shared across the whole test session."""
-    return cached_model
+    """Memoized covariance models on the paper boundary, ``model(kernel, d, dt, p)``,
+    shared across the whole test session."""
+    return _model
 
 
 @pytest.fixture

@@ -20,8 +20,8 @@ from wavegrf import compression, curves, mlmc
 from wavegrf.filters import SUPPORTED_PAIRS, build_filter_bank
 from wavegrf.kriging import (build_observation_matrix, equispaced_observations,
                              gram_matrix, posterior_mean, posterior_mean_dense)
-from wavegrf.linalg import SpectralBounds, condition_number, dense_bounds, dense_eigvals
-from wavegrf.pipeline import cached_model
+from wavegrf.linalg import (SpectralBounds, condition_number, dense_bounds, dense_eigvals,
+                            precondition, sym_function)
 from wavegrf.sampling import GrfSampler, build_contour
 from wavegrf.wavelets import get_system
 
@@ -82,13 +82,13 @@ def test_criterion_10_wavelet_core(core):
         f"moments {core['moments']:.1e} <= 1e-10, filter identities <= 1e-14")
 
 
-def test_criterion_01_preconditioning_bounded(core):
+def test_criterion_01_preconditioning_bounded(core, model):
     t0 = time.monotonic()
     ss_conds, pc_conds = [], []
     for p in TABLE_P:
-        m = cached_model("matern12", 2, 6, p)
+        m = model("matern12", 2, 6, p)
         ss_conds.append(condition_number(m.single_scale))
-        pc_conds.append(condition_number(m.preconditioned_dense))
+        pc_conds.append(condition_number(precondition(m.wavelet_dense, m.idx, m.order.ra)))
     for c in pc_conds:
         assert 1.0e2 <= c <= 4.0e2, pc_conds
     for a, b in zip(ss_conds, ss_conds[1:]):
@@ -128,11 +128,11 @@ def test_criterion_02_compression_rate(core):
         f"{elapsed:.0f}s")
 
 
-def test_criterion_03_tapered_spd(core):
+def test_criterion_03_tapered_spd(core, model):
     worst = np.inf
     for kname, dt in TABLE1_CONFIGS + TABLE2_CONFIGS:
         for p in TABLE_P:
-            m = cached_model(kname, 2, dt, p)
+            m = model(kname, 2, dt, p)
             lo = dense_eigvals(m.tapered)[0]
             assert lo > 0, (kname, dt, p, lo)
             worst = min(worst, lo)
@@ -140,12 +140,12 @@ def test_criterion_03_tapered_spd(core):
         f"min eigenvalue over all 6 configs x p<=1024: {worst:.3e} > 0")
 
 
-def test_criterion_04_diagonal_decay(core):
+def test_criterion_04_diagonal_decay(core, model):
     jumps = {}
     orders = {}
     for kname, dt, r in (("matern12", 6, -2.0), ("matern32", 8, -4.0),
                          ("matern52", 10, -6.0)):
-        m = cached_model(kname, 2, dt, 512)
+        m = model(kname, 2, dt, 512)
         diag = np.diag(m.wavelet_dense)
         means = [np.mean(diag[m.idx.level_slice(j)]) for j in m.idx.levels]
         ratios = [a / b for a, b in zip(means[1:-1], means[2:])]
@@ -162,8 +162,8 @@ def test_criterion_04_diagonal_decay(core):
         f"recovered orders {dict((k, round(v, 2)) for k, v in orders.items())}")
 
 
-def test_criterion_05_sqrt_convergence(core):
-    m = cached_model("matern12", 2, 6, 1024)
+def test_criterion_05_sqrt_convergence(core, model):
+    m = model("matern12", 2, 6, 1024)
     ev = dense_eigvals(m.preconditioned)
     sq = np.sqrt(ev)
     scale = sq.max()
@@ -192,15 +192,16 @@ def test_criterion_05_sqrt_convergence(core):
         f"narrowed {e_narrow40:.1e} @K=40, widened {e_wide60:.1e} @K=60")
 
 
-def test_criterion_06_sampler_covariance(core):
+def test_criterion_06_sampler_covariance(core, model):
     t0 = time.monotonic()
-    m = cached_model("matern12", 2, 6, 64)
+    m = model("matern12", 2, 6, 64)
     q = build_contour(dense_bounds(m.preconditioned), 40)
     sampler = GrfSampler(m.tapered, m.idx, m.order.ra, q)
     M = 100_000
     Z = sampler.draw_matrix(seed=5, count=M)
     emp = (Z.T @ Z) / M
-    Sigma = sampler.covariance()
+    op = sampler.dinv[:, None] * sym_function(sampler.R, q.scalar_values)
+    Sigma = op @ op.T                                     # the draws' exact covariance
     err = np.linalg.norm(emp - Sigma, 2)
     nrm = np.linalg.norm(Sigma, 2)
     reff = np.trace(Sigma) / nrm
@@ -212,10 +213,10 @@ def test_criterion_06_sampler_covariance(core):
         f"op-norm error {err:.2e} <= 3 SE = {3 * se:.2e} on 1e5 draws, {elapsed:.0f}s")
 
 
-def test_criterion_07_mlmc_table(core):
+def test_criterion_07_mlmc_table(core, model):
     errs = {}
     for p in (8, 16, 32, 64, 128, 256, 512):
-        m = cached_model("matern12", 2, 6, p)
+        m = model("matern12", 2, 6, p)
         sched = mlmc.schedule(m.idx.J, m.idx.j0, M_finest=100)
         truth = m.wavelet_dense
         Ceps = m.tapered.to_dense()
@@ -237,8 +238,8 @@ def test_criterion_07_mlmc_table(core):
         f"err(p=512) {matched:.2e} vs 1.1e-2 within x2")
 
 
-def test_criterion_08_mlmc_unbiased(core):
-    m = cached_model("matern12", 2, 6, 32)
+def test_criterion_08_mlmc_unbiased(core, model):
+    m = model("matern12", 2, 6, 32)
     sched = mlmc.schedule(m.idx.J, m.idx.j0, M_finest=100)
     Ceps = m.tapered.to_dense()
     R = 200
@@ -258,11 +259,11 @@ def test_criterion_08_mlmc_unbiased(core):
         f"{int(mask.sum())} entries, 200 replicates")
 
 
-def test_criterion_09_kriging(core):
+def test_criterion_09_kriging(core, model):
     sigma2 = 1e-2
     K = 32
-    # Gram CG (dense Gram, K <= linalg.DENSE_MAX_P) vs dense oracle at p = 512
-    m = cached_model("matern12", 2, 6, 512)
+    # Gram CG (dense Gram, p <= linalg.DENSE_MAX_P) vs dense oracle at p = 512
+    m = model("matern12", 2, 6, 512)
     obs = equispaced_observations(K, 4.0 / 512, sigma2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
     y = np.random.default_rng(6).standard_normal(K)
@@ -275,7 +276,7 @@ def test_criterion_09_kriging(core):
     # CG iteration counts stay flat across resolutions
     iters = []
     for p in (128, 256, 512, 1024, 2048):
-        mp = cached_model("matern12", 2, 6, p)
+        mp = model("matern12", 2, 6, p)
         op = build_observation_matrix(mp.system, obs, mp.idx.J, mp.curve)
         _, res = posterior_mean(mp.tapered, op, mp.system, y, sigma2, cg_tol=1e-10)
         iters.append(res.iterations)

@@ -86,19 +86,22 @@ def test_sample_and_krige_take_krylov_side_above_dense_max_p(tmp_path, monkeypat
 
 
 def test_krige_above_dense_max_p_observations_drops_gram_cond(tmp_path, monkeypatch):
-    """More observations than ``linalg.DENSE_MAX_P``: the dense Gram is refused,
-    so ``gram_cond`` is absent, and the predictions are still written and
-    match the dense side's."""
+    """A model above ``linalg.DENSE_MAX_P``, with K_obs above the rule (64) or
+    below it (16): the model's p, not K_obs, refuses the dense Gram, so
+    ``gram_cond`` is absent, and the predictions are still written and match
+    the dense side's."""
     from wavegrf import io, linalg
-    cfg = {"p": 128, "K_obs": 64, "K": 40}
-    assert run(tmp_path, "krige", cfg, seed=11, name="dense")[0] == 0
-    monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
-    assert run(tmp_path, "krige", cfg, seed=11, name="krylov")[0] == 0
-    text = (tmp_path / "krylov" / "krige_predictions.csv").read_text()
-    assert "# gram_cond: None\n" in text
-    want = io.read_csv(tmp_path / "dense" / "krige_predictions.csv")["value"]
-    got = io.read_csv(tmp_path / "krylov" / "krige_predictions.csv")["value"]
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    for K_obs in (64, 16):
+        cfg = {"p": 128, "K_obs": K_obs, "K": 40}
+        dense, krylov = tmp_path / f"dense{K_obs}", tmp_path / f"krylov{K_obs}"
+        assert run(tmp_path, "krige", cfg, seed=11, name=dense.name)[0] == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(linalg, "DENSE_MAX_P", 32)
+            assert run(tmp_path, "krige", cfg, seed=11, name=krylov.name)[0] == 0
+        assert "# gram_cond: None\n" in (krylov / "krige_predictions.csv").read_text()
+        want = io.read_csv(dense / "krige_predictions.csv")["value"]
+        got = io.read_csv(krylov / "krige_predictions.csv")["value"]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_tables_dense_single_scale_cond_above_dense_max_p(tmp_path, monkeypatch):
@@ -435,6 +438,11 @@ def test_config_error_exit_code(tmp_path, capsys):
     # the model itself refuses an unknown kernel or wavelet pair
     for bad in ({"kernel": "matern99"}, {"wavelet": [2, 5]}):
         assert run(tmp_path, "pattern", {"p": 16} | bad)[0] == 2
+    # an object key takes no list, not even one of pairs that dict() would read
+    for bad in ([], [["a", 3]]):
+        assert run(tmp_path, "pattern", {"p": 16, "compression": bad})[0] == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "config" and "'compression'" in err["message"]
 
 
 def test_curve_mapping_in_config(tmp_path):

@@ -458,8 +458,8 @@ def test_wavelet_preconditioner_any_K_scattered(model, K):
         assert res.iterations < cg_solve(gram, y, tol=1e-12).iterations
 
 
-@pytest.mark.parametrize("dense_max_p", [pytest.param(8, id="dense-gram"),
-                                         pytest.param(7, id="factored")])
+@pytest.mark.parametrize("dense_max_p", [pytest.param(64, id="dense-gram"),
+                                         pytest.param(63, id="factored")])
 def test_unattainable_tolerance_reported_unconverged(model, monkeypatch, dense_max_p):
     """CG decides on the true residual, on the dense Gram and on the factored
     one: at cg_tol = 1e-300 the recursive residual would underflow to 0, but
@@ -470,6 +470,7 @@ def test_unattainable_tolerance_reported_unconverged(model, monkeypatch, dense_m
     monkeypatch.setattr(linalg, "DENSE_MAX_P", dense_max_p)
     y = np.random.default_rng(8).standard_normal(8)
     _, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-300)
+    assert isinstance(kriging._GRAM[3], FactoredGram) == (dense_max_p < 64)
     assert not res.converged
     assert res.residual > 0.0
 
@@ -520,11 +521,30 @@ def test_true_residual_check_costs_at_most_one_iteration(model):
 
 
 def test_gram_matrix_capped_at_dense_max_p(model, monkeypatch):
+    """The dense Gram follows the model's p, not the observation count K."""
     m = model("matern12", 2, 6, 64)
     obs = equispaced_observations(8, 1.0 / 64, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
-    monkeypatch.setattr(linalg, "DENSE_MAX_P", 8)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 64)
     assert gram_matrix(m.tapered, om, obs.sigma2).shape == (8, 8)
-    monkeypatch.setattr(linalg, "DENSE_MAX_P", 7)
-    with pytest.raises(ValueError, match="K = 7"):
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 63)
+    with pytest.raises(ValueError, match="p = 63, got p = 64"):
         gram_matrix(m.tapered, om, obs.sigma2)
+
+
+def test_factored_gram_above_dense_max_p_for_few_observations(model, monkeypatch,
+                                                                gram_builds):
+    """Above the size rule on p the Gram is factored even when K is below
+    the rule: no K x K array is formed, and the posterior mean is the dense
+    oracle's."""
+    m = model("matern12", 2, 6, 64)
+    obs = equispaced_observations(16, 2.0 / 64, 1e-2)
+    om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
+    monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
+    y = np.random.default_rng(13).standard_normal(16)
+    mu, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-12)
+    assert isinstance(kriging._GRAM[3], FactoredGram)
+    assert gram_builds == []
+    oracle = posterior_mean_dense(m.tapered.to_dense(), om.G, y, obs.sigma2)
+    assert res.converged
+    assert np.linalg.norm(mu - oracle) <= 1e-8 * np.linalg.norm(oracle)

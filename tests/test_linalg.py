@@ -208,7 +208,7 @@ def test_lanczos_small_exact():
 
 def test_lanczos_matches_dense_on_wavelet_matrix(model):
     m = model("matern12", 2, 6, 256)
-    R = m.preconditioned_dense
+    R = precondition(m.wavelet_dense, m.idx, m.order.ra)
     lz = lanczos_extremes(R, 256, tol=1e-10)
     dn = dense_bounds(R)
     assert abs(lz.lambda_max - dn.lambda_max) <= 1e-6 * dn.lambda_max
@@ -278,7 +278,7 @@ def test_nested_section_condition_monotone(model):
     """Leading principal sections of the preconditioned matrix cannot be
     worse conditioned than the full matrix (spectra interlace)."""
     m = model("matern12", 2, 6, 256)
-    R = m.preconditioned_dense
+    R = precondition(m.wavelet_dense, m.idx, m.order.ra)
     full = condition_number(R)
     for p_sub in (32, 64, 128):
         sub = condition_number(R[:p_sub, :p_sub])
@@ -289,7 +289,7 @@ def test_tapered_spectrum_within_widened_interval(model):
     """Weyl: the tapered preconditioned spectrum sits inside the exact one
     widened by the preconditioned consistency-error norm."""
     m = model("matern12", 2, 6, 256)
-    R = m.preconditioned_dense
+    R = precondition(m.wavelet_dense, m.idx, m.order.ra)
     Re = m.preconditioned.to_dense()
     widen = np.linalg.norm(R - Re, 2)
     ev = dense_eigvals(R)

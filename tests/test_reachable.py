@@ -28,9 +28,6 @@ LIBRARY = ROOT / "src" / "wavegrf"
 #: "name", "Class.name" or "Class.field" -> why it stays unreached
 KEPT = {
     "WaveletSystem.wavelet_values": "the dual wavelet the tests check criterion 1 against",
-    "CovarianceModel.preconditioned_dense": "the untapered reference of the spectral tests",
-    "GrfSampler.covariance": "the exact covariance the sampling tests compare draws to",
-    "cached_model": "memoized models shared by the test suite",
     "CsvSampleSource": "documented input of externally generated MLMC samples",
     "write_sample_csv": "documented writer of the CsvSampleSource format",
 }
