@@ -8,7 +8,7 @@ number, and misjudging that condition number twofold is benign.
 
 import numpy as np
 
-from wavegrf import GrfSampler, build_contour, dense_bounds
+from wavegrf import GrfSampler, build_contour
 from wavegrf.linalg import SpectralBounds
 from wavegrf.pipeline import CovarianceModel
 
@@ -24,7 +24,7 @@ for K in (4, 8, 12, 16, 20, 40):
     err = np.max(np.abs(q.scalar_values(ev) - sq)) / sq.max()
     print(f"  K={K:2d}: {err:.2e}")
 
-q = build_contour(dense_bounds(m.preconditioned), 30)
+q = build_contour(m.spectral_bounds(), 30)
 sampler = GrfSampler(m.tapered, m.idx, m.order.ra, q)
 z = sampler.draw(seed=7)
 field = m.system.synthesize_on_grid(z.coefficients, m.idx.J + 4)

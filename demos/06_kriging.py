@@ -12,8 +12,8 @@ interpolates the data when the noise is small.
 import numpy as np
 
 from wavegrf import (GrfSampler, build_contour, build_observation_matrix,
-                     dense_bounds, equispaced_observations, posterior_mean,
-                     posterior_mean_dense, predict_at)
+                     equispaced_observations, posterior_mean, posterior_mean_dense,
+                     predict_at)
 from wavegrf.pipeline import CovarianceModel
 
 m = CovarianceModel(kernel="matern12", wavelet=(2, 6), p=256)
@@ -24,7 +24,7 @@ print("observation matrix: single-scale nnz", om.G_single.nnz,
       f"({om.G_single.nnz / 32:.0f} per functional), wavelet nnz", om.G.nnz,
       f"({om.G.nnz / 32:.0f} per functional)")
 
-q = build_contour(dense_bounds(m.preconditioned), 40)
+q = build_contour(m.spectral_bounds(), 40)
 truth = GrfSampler(m.tapered, m.idx, m.order.ra, q).draw(seed=11)
 rng = np.random.default_rng(12)
 y = om.G @ truth.coefficients + np.sqrt(sigma2) * rng.standard_normal(32)

@@ -135,7 +135,10 @@ def cmd_tables(cfg) -> None:
     for p in p_list:
         for i, fam in enumerate(families):
             m = _model(cfg, wavelet=fam, p=p)
-            if i == 0:          # the single-scale matrix is shared by the families
+            if i:               # the single-scale matrix is shared by the families
+                m.single_scale = first.single_scale
+            else:
+                first = m
                 rows["p"].append(p)
                 rows["level"].append(int(np.log2(p)))
                 rows["single_scale_cond"].append(condition_number(m.single_scale))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from .curves import ChordBounds, CurveSpec
-from .linalg import SparseSymMatrix
+from .linalg import SparseSymMatrix, precondition
 from .wavelets import LevelIndexSet, WaveletSystem
 
 #: points per support arc (endpoints included) in the sampled distance minima
@@ -252,10 +252,8 @@ def aposteriori_threshold(S, idx: LevelIndexSet, ra: float, delta: float):
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    M = S.csr.tocoo()
-    lev = idx.level_of_position()
-    weight = np.power(2.0, ra * (lev[M.row] + lev[M.col]))
-    keep = sparse.csr_matrix(((np.abs(M.data) * weight >= delta) | (M.row == M.col),
+    R = precondition(S, idx, ra).csr.tocoo()       # on S's index arrays
+    keep = sparse.csr_matrix(((np.abs(R.data) >= delta) | (R.row == R.col),
                               S.csr.indices, S.csr.indptr), shape=S.shape)
     # symmetric drops: keep an entry only if its mirror is kept too
     return SparseSymMatrix(S.csr.multiply(keep.multiply(keep.T)))

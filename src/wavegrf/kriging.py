@@ -13,10 +13,11 @@ transform.  The posterior mean
 is evaluated by preconditioned CG on the Gram system.  ``G`` is CSR with
 O(K log p) nonzeros (wavelets are local), one sparse transform of the banded
 single-scale rows: no p x K array.  The Gram, kept with its preconditioner
-for the last (C_eps, G, sigma^2) compared by identity, is the dense K x K
-array while the model's p is at most ``linalg.DENSE_MAX_P``; above it each
-iteration is three CSR products and no K^2 array is formed.  Disjoint boxes
-at least 1/p wide give K <= p, so the dense side has K <= ``DENSE_MAX_P``.
+on the observation matrix for the last (C_eps, sigma^2), C_eps compared by
+identity, is the dense K x K array while the model's p is at most
+``linalg.DENSE_MAX_P``; above it each iteration is three CSR products and
+no K^2 array is formed.  Disjoint boxes at least 1/p wide give K <= p, so
+the dense side has K <= ``DENSE_MAX_P``.
 
 On both sides the preconditioner is the paper's diagonal scaling, applied on
 the observation side: the K observations, sorted by center, are the first K
@@ -43,10 +44,6 @@ from .wavelets import WaveletSystem
 OVERSAMPLE = 6
 #: Gram probe columns per wavelet level of the preconditioner's diagonal
 PROBES = 4
-#: (C_eps, G, sigma2, Gram, its preconditioner or None) of the last Gram, rebound
-#: whole by ``_kept`` (racing threads at worst form it twice); holding the
-#: matrices keeps their ids in use
-_GRAM: tuple = (None, None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,12 @@ class ObservationMatrix:
     G: sparse.csr_matrix            # K x p against the dual wavelets, O(K log p) nnz
     rank: np.ndarray                # rank of each observation's center: its slot
 
-    def __post_init__(self):            # read-only: the kept Gram keys on G itself
+    def __post_init__(self):            # read-only: the kept Gram is of this G
         linalg.read_only(self.G_single)
         linalg.read_only(self.G)
+        #: (C_eps, sigma2, Gram, its preconditioner or None) of the last Gram, rebound
+        #: whole by ``_kept``; holding C_eps keeps its id in use
+        self._gram = (None, None, None, None)
 
     @property
     def K(self) -> int:
@@ -186,20 +186,19 @@ def posterior_mean(Ceps, obsmat: ObservationMatrix, system: WaveletSystem,
 
 
 def _kept(Ceps, obsmat: ObservationMatrix, sigma2: float, system: WaveletSystem | None):
-    """Gram and (given ``system``) preconditioner of (``Ceps``, ``G``, ``sigma2``),
-    kept in ``_GRAM``, which only this writes.  The Gram is the dense read-only
+    """Gram and (given ``system``) preconditioner of (``Ceps``, ``obsmat``, ``sigma2``),
+    kept in ``obsmat._gram``, which only this writes.  The Gram is the dense read-only
     array while ``Ceps``'s p is at most ``linalg.DENSE_MAX_P``, else the
     ``FactoredGram``."""
-    global _GRAM
-    C_kept, G_kept, sigma2_kept, gram, precond = _GRAM
-    if not (C_kept is Ceps and G_kept is obsmat.G and sigma2_kept == sigma2):
+    C_kept, sigma2_kept, gram, precond = obsmat._gram
+    if not (C_kept is Ceps and sigma2_kept == sigma2):
         gram, precond = FactoredGram(Ceps, obsmat, sigma2), None
         if Ceps.shape[0] <= linalg.DENSE_MAX_P:
             gram = gram(np.eye(obsmat.K))
             gram.flags.writeable = False
     if precond is None and system is not None:
         precond = WaveletPreconditioner(system, obsmat.rank, gram)
-    _GRAM = (Ceps, obsmat.G, sigma2, gram, precond)
+    obsmat._gram = (Ceps, sigma2, gram, precond)
     return gram, precond
 
 
@@ -246,8 +245,8 @@ def posterior_mean_dense(C: np.ndarray, G, y: np.ndarray,
 
 
 def gram_matrix(Ceps, obsmat: ObservationMatrix, sigma2: float) -> np.ndarray:
-    """The dense ``G C G^T + sigma2 I``, read-only, kept by ``_kept`` for the read-only
-    ``SparseSymMatrix`` ``Ceps`` and ``G`` (compared by identity) and ``sigma2``;
+    """The dense ``G C G^T + sigma2 I``, read-only, kept by ``_kept`` on ``obsmat`` for
+    the read-only ``SparseSymMatrix`` ``Ceps`` (compared by identity) and ``sigma2``;
     refused when ``Ceps``'s p is above ``linalg.DENSE_MAX_P``."""
     if Ceps.shape[0] > linalg.DENSE_MAX_P:
         raise ValueError(f"dense Gram assembly capped at p = {linalg.DENSE_MAX_P}, "

@@ -175,15 +175,15 @@ class SpectralBounds:
                               self.lambda_max * (1.0 + BOUNDS_SAFETY))
 
 
-def lanczos_extremes(A, p: int, tol: float = 1e-8) -> SpectralBounds:
-    """Extremal eigenvalues by Lanczos with full reorthogonalization.
+def lanczos_extremes(A, tol: float = 1e-8) -> SpectralBounds:
+    """Extremal eigenvalues of the p x p ``A`` by Lanczos with full reorthogonalization.
 
     Deterministic (the start vector is drawn from ``LANCZOS_SEED``).  Raises
     if the extremes have not stabilized to relative tolerance within
     ``LANCZOS_MAX_ITER`` steps.
     """
     from scipy.linalg import eigvalsh_tridiagonal   # at module level: +7 MB per process
-    apply_A = _as_apply(A)
+    apply_A, p = _as_apply(A), A.shape[0]
     max_iter = min(p, LANCZOS_MAX_ITER)
     rng = np.random.Generator(np.random.Philox(key=[LANCZOS_SEED, 0x1a2b3c4d]))
     q = rng.standard_normal(p)
@@ -251,7 +251,7 @@ def condition_number(A) -> float:
         ev = dense_eigvals(A)
         lo, hi = float(ev[0]), float(ev[-1])
     else:
-        b = lanczos_extremes(A, p)
+        b = lanczos_extremes(A)
         lo, hi = b.lambda_min, b.lambda_max
     if lo <= 0:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (min eig {lo:.3e})")

@@ -70,7 +70,9 @@ def schedule(J: int, j0: int, n: int = 1, alpha: float = 0.5,
 
 #: the read-only level roots of one covariance, as (C, {p_j: root}): rebound whole
 #: when a source is built on another array (racing threads at worst compute a root
-#: twice; each source keeps its own table, so none gets a wrong one)
+#: twice; each source keeps its own table, so none gets a wrong one).  Module-level,
+#: as the replicates of one run each build a new source on one ndarray, which
+#: cannot carry the table itself
 _ROOTS: tuple = (None, {})
 #: largest level dimension p_j given a dense root
 ROOT_MAX_P = 4096
@@ -186,8 +188,8 @@ def _run_levels(task, levels) -> None:
         except BaseException as e:      # re-raised by the calling thread below
             failed.append(e)
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(len(os.sched_getaffinity(0)), len(levels)) - 1)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    helpers = [threading.Thread(target=work) for _ in range(min(cpus or 1, len(levels)) - 1)]
     for t in helpers:
         t.start()
     work()
@@ -233,8 +235,7 @@ def estimate(pattern: TaperPattern, sched: SampleSchedule, source,
             sj, m, sid = idx.level_slice(j), sched.block_count(j, jp), streams[j, jp]
             if jp == j:
                 Z = source.draw(j, m, sid, sj)
-                blk = (Z.T @ Z) / m
-                blk = 0.5 * (blk + blk.T)
+                blk = (Z.T @ Z) / m         # syrk: exactly symmetric
             else:
                 # only the columns of levels j and j' are drawn, those of j first
                 n, cols = sj.stop - sj.start, np.r_[sj, sp]

@@ -8,7 +8,7 @@ suite share one construction path.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -20,11 +20,6 @@ _DEFAULT_FAMILY = {"matern12": (2, 6), "matern32": (2, 8), "matern52": (2, 10)}
 
 def default_wavelet_for(kernel_name: str) -> tuple[int, int]:
     return _DEFAULT_FAMILY[kernel_name]
-
-
-#: the last dense single-scale matrix, shared across wavelet families: only
-#: ``tables`` reuses it (the families of one p in a row); more only holds p x p arrays
-_single_scale = lru_cache(maxsize=1)(assembly.assemble_single_scale)
 
 
 class CovarianceModel:
@@ -47,7 +42,7 @@ class CovarianceModel:
     # -- matrices ----------------------------------------------------------
     @cached_property
     def single_scale(self) -> np.ndarray:
-        return _single_scale(self.curve, self.kernel, self.idx.J)
+        return assembly.assemble_single_scale(self.curve, self.kernel, self.idx.J)
 
     @cached_property
     def wavelet_dense(self) -> np.ndarray:
@@ -71,7 +66,7 @@ class CovarianceModel:
         """Dense bounds up to ``linalg.DENSE_MAX_P`` or if ``exact``, else widened Lanczos."""
         if exact or self.idx.p <= linalg.DENSE_MAX_P:
             return linalg.dense_bounds(self.preconditioned)
-        return linalg.lanczos_extremes(self.preconditioned, self.idx.p).widened()
+        return linalg.lanczos_extremes(self.preconditioned).widened()
 
     @property
     def meta(self) -> dict:

@@ -117,6 +117,21 @@ def test_tables_dense_single_scale_cond_above_dense_max_p(tmp_path, monkeypatch)
     assert np.array_equal(got, want)
 
 
+def test_tables_assembles_once_per_p(tmp_path, monkeypatch):
+    """The wavelet families of one p share one single-scale matrix."""
+    from wavegrf import assembly
+    assemble, sizes = assembly.assemble_single_scale, []
+
+    def counted(curve, kernel, J):
+        sizes.append(2 ** (J + 1))
+        return assemble(curve, kernel, J)
+
+    monkeypatch.setattr(assembly, "assemble_single_scale", counted)
+    cfg = {"kernel": "matern12", "p_list": [32, 64, 128]}     # three families
+    assert run(tmp_path, "tables", cfg)[0] == 0
+    assert sizes == [32, 64, 128]
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_sample_rejects_nonpositive_count(tmp_path, capsys, count):
     rc, out = run(tmp_path, "sample", {"p": 64, "count": count}, seed=2)

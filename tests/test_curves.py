@@ -253,9 +253,7 @@ def test_import_does_not_load_scipy_spatial():
 
 
 def test_caches_bounded_and_normalization_memoized():
-    from wavegrf import pipeline
     assert normalize_to_unit_diameter.cache_info().maxsize == 32
-    assert pipeline._single_scale.cache_info().maxsize is not None
     c = circle(2.5)
     first = normalize_to_unit_diameter(c)
     hits = normalize_to_unit_diameter.cache_info().hits
@@ -266,3 +264,14 @@ def test_caches_bounded_and_normalization_memoized():
                        sin_coeffs=list(paper_boundary().sin_coeffs))
     assert listed == paper_boundary()
     assert normalize_to_unit_diameter(listed) is normalize_to_unit_diameter(paper_boundary())
+
+
+def test_only_the_mlmc_roots_are_module_level_kept_state():
+    """Kept state lives on the object that owns it: the one ``global`` in the
+    library is ``mlmc._ROOTS``, whose table outlives each source built on
+    one covariance array."""
+    import ast
+    found = [(path.name, name) for path in sorted(Path(curves.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Global)
+             for name in node.names]
+    assert found == [("mlmc.py", "_ROOTS")]

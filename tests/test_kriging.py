@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -280,9 +283,9 @@ def test_factored_gram_matches_dense_gram_and_oracle(model, monkeypatch):
     mu_dense, res_dense = posterior_mean(m.tapered, om, m.system, y, obs.sigma2,
                                          cg_tol=1e-12)
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 255)
-    monkeypatch.setattr(kriging, "_GRAM", (None,) * 5)    # else the same key keeps it dense
+    monkeypatch.setattr(om, "_gram", (None,) * 4)    # else the same key keeps it dense
     mu, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-12)
-    assert isinstance(kriging._GRAM[3], FactoredGram)
+    assert isinstance(om._gram[2], FactoredGram)
     assert res.converged and res_dense.converged
     assert np.linalg.norm(mu_dense - oracle) <= 1e-8 * np.linalg.norm(oracle)
     assert np.linalg.norm(mu - oracle) <= 1e-8 * np.linalg.norm(oracle)
@@ -290,9 +293,9 @@ def test_factored_gram_matches_dense_gram_and_oracle(model, monkeypatch):
 
 
 def test_dense_gram_formed_once_per_content(model, gram_builds):
-    """The dense Gram is kept for its (C_eps, G, sigma2), the two matrices
-    compared by identity, and read-only; a new sigma2 or a new C_eps of equal
-    content forms it anew, and neither matrix can change in place."""
+    """The dense Gram is kept on its observation matrix for (C_eps, sigma2),
+    C_eps compared by identity, and read-only; a new sigma2 or a new C_eps of
+    equal content forms it anew, and neither C_eps nor G can change in place."""
     m = model("matern12", 2, 6, 128)
     obs = equispaced_observations(16, 4.0 / 128, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
@@ -320,15 +323,38 @@ def test_dense_gram_formed_once_per_content(model, gram_builds):
         assert not any(a.flags.writeable for a in (M.data, M.indices, M.indptr))
 
 
+def test_gram_kept_per_observation_matrix(model, gram_builds):
+    """Each observation matrix keeps its own Gram: two of them on one C_eps,
+    solved alternately, form one dense Gram each."""
+    m = model("matern12", 2, 6, 128)
+    oms = [build_observation_matrix(m.system, equispaced_observations(K, 4.0 / 128, 1e-2),
+                                    m.idx.J, m.curve) for K in (16, 8)]
+    for _ in range(2):
+        for om in oms:
+            posterior_mean(m.tapered, om, m.system, np.ones(om.K), 1e-2)
+    assert gram_builds == [(16, 16), (8, 8)]
+
+
+def test_kept_gram_freed_with_its_observation_matrix(model):
+    """A kept Gram lives no longer than the observation matrix it is of."""
+    m = model("matern12", 2, 6, 128)
+    om = build_observation_matrix(m.system, equispaced_observations(16, 4.0 / 128, 1e-2),
+                                  m.idx.J, m.curve)
+    gram = weakref.ref(gram_matrix(m.tapered, om, 1e-2))
+    assert gram() is not None
+    del om
+    gc.collect()
+    assert gram() is None
+
+
 def test_factored_gram_and_preconditioner_kept_per_key(model, monkeypatch):
     """Above the size rule the factored Gram and its preconditioner are kept
-    under the same (C_eps, G, sigma2) key as the dense Gram: a second solve
+    under the same (C_eps, sigma2) key as the dense Gram: a second solve
     builds no preconditioner and gives the same mu bit for bit."""
     m = model("matern12", 2, 6, 128)
     obs = equispaced_observations(32, 4.0 / 128, 1e-2)
     om = build_observation_matrix(m.system, obs, m.idx.J, m.curve)
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 31)
-    monkeypatch.setattr(kriging, "_GRAM", (None,) * 5)
     init, builds = kriging.WaveletPreconditioner.__init__, []
 
     def counted(self, *args):
@@ -340,7 +366,7 @@ def test_factored_gram_and_preconditioner_kept_per_key(model, monkeypatch):
     mu1, _ = posterior_mean(m.tapered, om, m.system, y, obs.sigma2)
     mu2, _ = posterior_mean(m.tapered, om, m.system, y, obs.sigma2)
     assert builds == [32]
-    assert isinstance(kriging._GRAM[3], FactoredGram)
+    assert isinstance(om._gram[2], FactoredGram)
     assert np.array_equal(mu1, mu2)
     posterior_mean(m.tapered, om, m.system, y, 2e-2)
     assert len(builds) == 2
@@ -470,7 +496,7 @@ def test_unattainable_tolerance_reported_unconverged(model, monkeypatch, dense_m
     monkeypatch.setattr(linalg, "DENSE_MAX_P", dense_max_p)
     y = np.random.default_rng(8).standard_normal(8)
     _, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-300)
-    assert isinstance(kriging._GRAM[3], FactoredGram) == (dense_max_p < 64)
+    assert isinstance(om._gram[2], FactoredGram) == (dense_max_p < 64)
     assert not res.converged
     assert res.residual > 0.0
 
@@ -543,7 +569,7 @@ def test_factored_gram_above_dense_max_p_for_few_observations(model, monkeypatch
     monkeypatch.setattr(linalg, "DENSE_MAX_P", 32)
     y = np.random.default_rng(13).standard_normal(16)
     mu, res = posterior_mean(m.tapered, om, m.system, y, obs.sigma2, cg_tol=1e-12)
-    assert isinstance(kriging._GRAM[3], FactoredGram)
+    assert isinstance(om._gram[2], FactoredGram)
     assert gram_builds == []
     oracle = posterior_mean_dense(m.tapered.to_dense(), om.G, y, obs.sigma2)
     assert res.converged

@@ -423,6 +423,18 @@ def test_worker_count_does_not_change_the_estimate(model, monkeypatch, p):
         assert len({t for _, _, t in src.calls}) <= min(n, len(m.idx.levels))
 
 
+def test_estimate_without_cpu_affinity(model, monkeypatch):
+    """Where ``os`` has no ``sched_getaffinity`` (macOS, Windows) the thread
+    count comes from ``os.cpu_count``, and the estimate is the same bit for bit."""
+    m = model("matern12", 2, 6, 64)
+    sched = schedule(m.idx.J, m.idx.j0, M_finest=100)
+    C = m.tapered.to_dense()
+    want = estimate(m.pattern, sched, GaussianCoefficientSource(C, m.idx, seed=4), seed=4)
+    monkeypatch.delattr(mlmc.os, "sched_getaffinity")
+    got = estimate(m.pattern, sched, GaussianCoefficientSource(C, m.idx, seed=4), seed=4)
+    assert np.array_equal(got.matrix.csr.data, want.matrix.csr.data)
+
+
 def test_root_cache_is_thread_safe(model, monkeypatch):
     """More threads than CPUs build sources on several covariances and ask
     for their roots at once: no error, the kept table holds at most one root

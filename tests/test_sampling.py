@@ -200,7 +200,7 @@ def test_multi_shift_solve_matches_per_shift_solves(model):
     while its true one does not; a CG on the remaining residual mends it."""
     m = model("matern12", 2, 6, 512)
     R = m.preconditioned
-    q = build_contour(linalg.lanczos_extremes(R, 512).widened(), 40)
+    q = build_contour(linalg.lanczos_extremes(R).widened(), 40)
     for i in (0, 1, 347):
         x = np.random.default_rng(i).standard_normal(512)
         ref = _per_shift_reference(R, q, x, 1e-12)
@@ -213,7 +213,7 @@ def test_multi_shift_draw_costs_the_slowest_shift_only(model):
     at most 100 products with R, where K separate solves take about 866."""
     m = model("matern12", 2, 6, 2048)
     R = m.preconditioned
-    q = build_contour(linalg.lanczos_extremes(R, 2048).widened(), 30)
+    q = build_contour(linalg.lanczos_extremes(R).widened(), 30)
     calls = []
 
     def counted(v):
